@@ -18,7 +18,7 @@ fn main() {
     for mut u in [layered_universe(n), random_universe(n, 0xC0FFEE)] {
         if merge_first {
             let all: Vec<std::sync::Arc<openwf_core::Fragment>> =
-                u.store.fragments_shared().into_iter().cloned().collect();
+                u.store.fragments_shared().cloned().collect();
             let t0 = Instant::now();
             let mut g = openwf_core::Graph::new();
             let mut map = Vec::new();
@@ -110,7 +110,7 @@ fn main() {
 
         // Merge-cost microbreakdown over the whole universe in one batch.
         let all: Vec<std::sync::Arc<openwf_core::Fragment>> =
-            u.store.fragments_shared().into_iter().cloned().collect();
+            u.store.fragments_shared().cloned().collect();
         let t0 = Instant::now();
         let mut g = openwf_core::Graph::new();
         let mut map = Vec::new();

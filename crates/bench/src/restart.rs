@@ -165,8 +165,7 @@ fn populate(
     compact_at: Option<usize>,
 ) -> u64 {
     let _ = std::fs::remove_dir_all(dir);
-    let mut store =
-        DurableFragmentStore::open_with(dir, 1, segment_bytes).expect("open scratch log");
+    let mut store = DurableFragmentStore::open_with(dir, segment_bytes).expect("open scratch log");
     for (i, f) in schedule.inserts.iter().enumerate() {
         store.insert(Arc::clone(f)).expect("append");
         if compact_at == Some(i + 1) {
@@ -206,8 +205,7 @@ pub fn measure_schedule(
     let mut snap_times = Vec::with_capacity(samples);
     for _ in 0..samples {
         let t0 = Instant::now();
-        let store =
-            DurableFragmentStore::open_with(&cold_dir, 1, segment_bytes).expect("cold replay");
+        let store = DurableFragmentStore::open_with(&cold_dir, segment_bytes).expect("cold replay");
         cold_times.push(t0.elapsed().as_secs_f64() * 1e9);
         assert_eq!(store.len(), schedule.live);
         std::hint::black_box(&store);
@@ -215,7 +213,7 @@ pub fn measure_schedule(
 
         let t0 = Instant::now();
         let store =
-            DurableFragmentStore::open_with(&snap_dir, 1, segment_bytes).expect("snapshot restart");
+            DurableFragmentStore::open_with(&snap_dir, segment_bytes).expect("snapshot restart");
         snap_times.push(t0.elapsed().as_secs_f64() * 1e9);
         assert_eq!(store.len(), schedule.live);
         assert!(

@@ -112,7 +112,7 @@ fn encode_universe(universe: &ScaleUniverse, out: &mut Vec<u8>) {
 ///
 /// Panics on I/O failure in the scratch directory or if a universe is
 /// unsatisfiable (harness bugs, not measurement outcomes).
-pub fn measure_universe(universe: &ScaleUniverse, samples: usize) -> Vec<WireMeasurement> {
+pub fn measure_universe(universe: &mut ScaleUniverse, samples: usize) -> Vec<WireMeasurement> {
     let n = universe.store.len();
     let mut results = Vec::new();
 
@@ -167,7 +167,7 @@ pub fn measure_universe(universe: &ScaleUniverse, samples: usize) -> Vec<WireMea
     let constructor = IncrementalConstructor::new().pre_size(universe.hints());
     let times = measure_ns(samples, || {
         let built = constructor
-            .construct_parallel(&universe.store, &universe.spec)
+            .construct(&mut universe.store, &universe.spec)
             .expect("satisfiable");
         std::hint::black_box(built);
     });
@@ -176,12 +176,11 @@ pub fn measure_universe(universe: &ScaleUniverse, samples: usize) -> Vec<WireMea
     // Durable backend: populate, replay, construct.
     let dir = scratch_dir(&format!("{}-{n}", universe.name));
     let _ = std::fs::remove_dir_all(&dir);
-    let shards = universe.store.shard_count();
     let mut log_bytes = 0u64;
     let times = measure_ns(samples, || {
         let _ = std::fs::remove_dir_all(&dir);
         let mut durable =
-            DurableFragmentStore::open_with(&dir, shards, u64::MAX).expect("open scratch log");
+            DurableFragmentStore::open_with(&dir, u64::MAX).expect("open scratch log");
         for f in universe.store.fragments_shared() {
             durable.insert(std::sync::Arc::clone(f)).expect("append");
         }
@@ -191,18 +190,16 @@ pub fn measure_universe(universe: &ScaleUniverse, samples: usize) -> Vec<WireMea
     results.push(cell("durable_populate", n, log_bytes, times));
 
     let times = measure_ns(samples, || {
-        let durable =
-            DurableFragmentStore::open_with(&dir, shards, u64::MAX).expect("replay scratch log");
+        let durable = DurableFragmentStore::open_with(&dir, u64::MAX).expect("replay scratch log");
         assert_eq!(durable.len(), n);
         std::hint::black_box(&durable);
     });
     results.push(cell("durable_replay", n, log_bytes, times));
 
-    let durable =
-        DurableFragmentStore::open_with(&dir, shards, u64::MAX).expect("replay scratch log");
+    let mut durable = DurableFragmentStore::open_with(&dir, u64::MAX).expect("replay scratch log");
     let times = measure_ns(samples, || {
         let built = constructor
-            .construct_parallel(&durable, &universe.spec)
+            .construct(&mut durable, &universe.spec)
             .expect("satisfiable");
         std::hint::black_box(built);
     });
@@ -217,8 +214,8 @@ pub fn measure_universe(universe: &ScaleUniverse, samples: usize) -> Vec<WireMea
 pub fn run(sizes: &[usize], samples_for: impl Fn(usize) -> usize) -> Vec<WireMeasurement> {
     let mut results = Vec::new();
     for &n in sizes {
-        let universe = layered_universe(n);
-        results.extend(measure_universe(&universe, samples_for(n)));
+        let mut universe = layered_universe(n);
+        results.extend(measure_universe(&mut universe, samples_for(n)));
     }
     results
 }
@@ -270,8 +267,8 @@ mod tests {
 
     #[test]
     fn small_universe_measures_every_op() {
-        let u = layered_universe(128);
-        let results = measure_universe(&u, 2);
+        let mut u = layered_universe(128);
+        let results = measure_universe(&mut u, 2);
         let ops: Vec<&str> = results.iter().map(|r| r.op).collect();
         assert_eq!(
             ops,

@@ -1,18 +1,14 @@
 //! In-memory fragment storage with a consumed-label index.
 //!
-//! Two stores share one design:
+//! [`InMemoryFragmentStore`] is a host's fragment database: the local
+//! analogue of the paper's Fragment Manager database (§4.2; the runtime's
+//! Fragment Manager wraps one), the query index every
+//! [`FragmentBackend`] answers from, and the reference implementation of
+//! [`FragmentSource`].
 //!
-//! * [`InMemoryFragmentStore`] — a single monolithic index; the local
-//!   analogue of a host's fragment database (the runtime's Fragment
-//!   Manager wraps a store) and the reference implementation of
-//!   [`FragmentSource`] for tests and single-process use.
-//! * [`ShardedFragmentStore`] — the same database partitioned across N
-//!   independently queryable shards by produced-label symbol, so that
-//!   frontier queries can fan out across worker threads (see
-//!   [`ParallelFragmentSource`] and
-//!   [`crate::IncrementalConstructor::workers`]). A single-shard store
-//!   degenerates to the monolithic layout, so small universes pay nothing
-//!   for the partitioning.
+//! A fragment's slot is its global insertion sequence: new ids append,
+//! replaces keep their slot, and nothing is ever removed. Queries answer
+//! in slot order, so insert order is construction order.
 //!
 //! Fragments are held behind [`Arc`] so that answering a frontier query
 //! hands out shared references instead of deep-copying whole workflow
@@ -123,6 +119,32 @@ impl InMemoryFragmentStore {
         self.fragments.iter()
     }
 
+    /// `(sequence, fragment)` for every stored fragment, in sequence
+    /// order. The sequence is the slot: snapshot writers persist it and
+    /// [`InMemoryFragmentStore::restore`] takes it back.
+    pub fn entries(&self) -> impl Iterator<Item = (u64, &Arc<Fragment>)> + '_ {
+        self.fragments
+            .iter()
+            .enumerate()
+            .map(|(i, f)| (i as u64, f))
+    }
+
+    /// Restores a fragment at an explicit insertion sequence — the
+    /// checkpoint-load dual of [`InMemoryFragmentStore::insert`].
+    /// Restoring a snapshot's [`InMemoryFragmentStore::entries`] in order
+    /// rebuilds the same store: same slots, same query answers, and tail
+    /// inserts continue the numbering.
+    ///
+    /// Returns `false` and leaves the store unchanged when `seq` is not
+    /// the next dense sequence ([`InMemoryFragmentStore::len`]) or the id
+    /// is already stored — shapes no well-formed snapshot has.
+    pub fn restore(&mut self, seq: u64, fragment: Arc<Fragment>) -> bool {
+        if seq != self.fragments.len() as u64 || self.by_id.contains_key(fragment.id()) {
+            return false;
+        }
+        self.insert(fragment)
+    }
+
     /// Fragments containing a task that consumes any of `labels`,
     /// deduplicated, in insertion order. Hands out `Arc` clones — callers
     /// share the stored allocation.
@@ -217,7 +239,7 @@ pub type BackendError = Box<dyn std::error::Error + Send + Sync>;
 /// Manager.
 ///
 /// Every backend maintains (or can cheaply rebuild) an in-memory
-/// [`ShardedFragmentStore`] as its query index — consumed-label queries
+/// [`InMemoryFragmentStore`] as its query index — consumed-label queries
 /// are always answered from memory; what varies is the *durability* of
 /// the record of fragments. The in-memory backend is the store itself; a
 /// durable backend (see `openwf-wire`'s `DurableFragmentStore`) appends
@@ -235,7 +257,7 @@ pub trait FragmentBackend: Send {
     fn insert_fragment(&mut self, fragment: Arc<Fragment>) -> Result<bool, BackendError>;
 
     /// The in-memory query index over the stored fragments.
-    fn index(&self) -> &ShardedFragmentStore;
+    fn index(&self) -> &InMemoryFragmentStore;
 
     /// Short human-readable backend name (`"memory"`, `"durable"`).
     fn backend_kind(&self) -> &'static str;
@@ -260,328 +282,17 @@ pub trait FragmentBackend: Send {
     }
 }
 
-impl FragmentBackend for ShardedFragmentStore {
+impl FragmentBackend for InMemoryFragmentStore {
     fn insert_fragment(&mut self, fragment: Arc<Fragment>) -> Result<bool, BackendError> {
         Ok(self.insert(fragment))
     }
 
-    fn index(&self) -> &ShardedFragmentStore {
+    fn index(&self) -> &InMemoryFragmentStore {
         self
     }
 
     fn backend_kind(&self) -> &'static str {
         "memory"
-    }
-}
-
-/// A fragment source whose storage is partitioned into independently
-/// queryable shards.
-///
-/// This is the seam the parallel frontier workers fan out over: each
-/// `(shard, label)` candidate query touches only that shard's index, so
-/// worker threads never contend. Implementations tag every hit with a
-/// **global insertion sequence number**; collectors restore the exact
-/// single-store `consuming()` order by sorting on it, which is what keeps
-/// parallel construction deterministic regardless of worker count or
-/// scheduling.
-pub trait ParallelFragmentSource: Sync {
-    /// Number of shards. Valid shard indices are `0..shard_count()`.
-    fn shard_count(&self) -> usize;
-
-    /// Appends `(sequence, fragment)` for every fragment in `shard` with
-    /// a task consuming any of `labels`. May push the same fragment once
-    /// per matching label; callers deduplicate by sequence number.
-    fn shard_consuming(&self, shard: usize, labels: &[Label], out: &mut Vec<(u64, Arc<Fragment>)>);
-}
-
-/// One shard of a [`ShardedFragmentStore`]: a slice of the database with
-/// its own consumed-label index.
-#[derive(Clone, Debug, Default)]
-struct StoreShard {
-    /// `(global insertion sequence, fragment)` in insertion order.
-    fragments: Vec<(u64, Arc<Fragment>)>,
-    /// Label → positions (into `fragments`) of fragments consuming it.
-    by_consumed_label: FxHashMap<Label, Vec<u32>>,
-}
-
-impl StoreShard {
-    fn index_slot(&mut self, slot: usize) {
-        for label in self.fragments[slot].1.all_input_labels() {
-            self.by_consumed_label
-                .entry(label)
-                .or_default()
-                .push(slot as u32);
-        }
-    }
-
-    fn unindex_slot(&mut self, slot: usize, old: &Fragment) {
-        for label in old.all_input_labels() {
-            if let Some(v) = self.by_consumed_label.get_mut(&label) {
-                v.retain(|&i| i as usize != slot);
-                if v.is_empty() {
-                    self.by_consumed_label.remove(&label);
-                }
-            }
-        }
-    }
-}
-
-/// A fragment database partitioned by produced-label [`crate::ids::Sym`]
-/// across N shards.
-///
-/// Each fragment lives in exactly one shard — chosen from its first
-/// produced label (falling back to its id for label-less knowhow) — so a
-/// shard answers a consumed-label query from its own index alone and the
-/// shard results concatenate without cross-shard deduplication. Queries
-/// return fragments in global insertion order, exactly like
-/// [`InMemoryFragmentStore::consuming`].
-#[derive(Clone, Debug)]
-pub struct ShardedFragmentStore {
-    shards: Vec<StoreShard>,
-    /// Fragment id → (shard, slot within shard).
-    by_id: FxHashMap<FragmentId, (u32, u32)>,
-    next_seq: u64,
-}
-
-impl Default for ShardedFragmentStore {
-    fn default() -> Self {
-        ShardedFragmentStore::new()
-    }
-}
-
-impl ShardedFragmentStore {
-    /// A store sharded for this machine: one shard per hardware thread.
-    pub fn new() -> Self {
-        ShardedFragmentStore::with_shards(crate::hardware_parallelism())
-    }
-
-    /// A store with exactly `shards` shards (at least 1).
-    pub fn with_shards(shards: usize) -> Self {
-        let shards = shards.max(1);
-        ShardedFragmentStore {
-            shards: vec![StoreShard::default(); shards],
-            by_id: FxHashMap::default(),
-            next_seq: 0,
-        }
-    }
-
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The home shard of a fragment: its first produced label's symbol
-    /// modulo the shard count (fragments producing nothing — isolated
-    /// knowhow — route by their id instead).
-    fn shard_for(&self, fragment: &Fragment) -> usize {
-        let sym = fragment
-            .workflow()
-            .outset()
-            .iter()
-            .next()
-            .map(|l| l.sym())
-            .unwrap_or_else(|| fragment.id().sym());
-        sym.id() as usize % self.shards.len()
-    }
-
-    /// Inserts a fragment, replacing any fragment with the same id.
-    ///
-    /// Returns `true` if the fragment was new. A replacement stays in its
-    /// original shard (and keeps its insertion sequence) even if its
-    /// produced labels changed — queries fan out over every shard, so
-    /// placement affects balance, not correctness.
-    pub fn insert(&mut self, fragment: impl Into<Arc<Fragment>>) -> bool {
-        let fragment = fragment.into();
-        if let Some(&(shard, slot)) = self.by_id.get(fragment.id()) {
-            let shard = &mut self.shards[shard as usize];
-            let old = std::mem::replace(&mut shard.fragments[slot as usize].1, fragment);
-            shard.unindex_slot(slot as usize, &old);
-            shard.index_slot(slot as usize);
-            return false;
-        }
-        let shard_idx = self.shard_for(&fragment) as u32;
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.by_id.insert(
-            fragment.id().clone(),
-            (
-                shard_idx,
-                self.shards[shard_idx as usize].fragments.len() as u32,
-            ),
-        );
-        let shard = &mut self.shards[shard_idx as usize];
-        shard.fragments.push((seq, fragment));
-        shard.index_slot(shard.fragments.len() - 1);
-        true
-    }
-
-    /// Number of stored fragments.
-    pub fn len(&self) -> usize {
-        self.by_id.len()
-    }
-
-    /// True if the store holds no fragments.
-    pub fn is_empty(&self) -> bool {
-        self.by_id.is_empty()
-    }
-
-    /// The sequence number the next *new* fragment id will be assigned.
-    ///
-    /// Fragments are never removed (a replace keeps its slot and
-    /// sequence), so this always equals [`ShardedFragmentStore::len`] —
-    /// exposed separately because checkpoint formats record it
-    /// explicitly rather than deriving it from an invariant they would
-    /// then silently depend on.
-    pub fn next_seq(&self) -> u64 {
-        self.next_seq
-    }
-
-    /// One shard's `(global sequence, fragment)` entries in slot order —
-    /// the exact physical layout of the database. Within a shard, slot
-    /// order equals sequence order (slots are assigned at first insert
-    /// and never move). Snapshot writers persist this layout;
-    /// bit-identity checks compare it.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `shard >= self.shard_count()`.
-    pub fn shard_entries(&self, shard: usize) -> impl Iterator<Item = (u64, &Arc<Fragment>)> + '_ {
-        self.shards[shard].fragments.iter().map(|(s, f)| (*s, f))
-    }
-
-    /// Restores a fragment into an explicit `(shard, sequence)` position
-    /// — the checkpoint-load dual of [`ShardedFragmentStore::insert`].
-    ///
-    /// The fragment is appended to `shard % shard_count()` (the modulus
-    /// makes a snapshot taken under one shard count loadable — though no
-    /// longer layout-identical — under another) and keeps the given
-    /// global sequence, so a store rebuilt by restoring a snapshot's
-    /// [`ShardedFragmentStore::shard_entries`] in ascending sequence
-    /// order is bit-identical to the one snapshotted: same shards, same
-    /// slots, same sequences, same query answers. `next_seq` advances
-    /// past every restored sequence; tail inserts then continue the
-    /// original numbering.
-    ///
-    /// Returns `false` (and replaces, keeping the existing slot and
-    /// sequence) if the id is already present — a well-formed snapshot
-    /// never hits this.
-    pub fn restore_fragment(&mut self, shard: u32, seq: u64, fragment: Arc<Fragment>) -> bool {
-        if self.by_id.contains_key(fragment.id()) {
-            self.insert(fragment);
-            return false;
-        }
-        let shard_idx = shard as usize % self.shards.len();
-        self.next_seq = self.next_seq.max(seq + 1);
-        self.by_id.insert(
-            fragment.id().clone(),
-            (
-                shard_idx as u32,
-                self.shards[shard_idx].fragments.len() as u32,
-            ),
-        );
-        let shard = &mut self.shards[shard_idx];
-        shard.fragments.push((seq, fragment));
-        shard.index_slot(shard.fragments.len() - 1);
-        true
-    }
-
-    /// Looks up a fragment by id.
-    pub fn get(&self, id: &FragmentId) -> Option<&Arc<Fragment>> {
-        self.by_id
-            .get(id)
-            .map(|&(shard, slot)| &self.shards[shard as usize].fragments[slot as usize].1)
-    }
-
-    /// All stored fragments as shared handles, in global insertion order.
-    ///
-    /// Materializes a sorted list (a k-way shard merge); meant for dumps
-    /// and diagnostics, not the query hot path.
-    pub fn fragments_shared(&self) -> Vec<&Arc<Fragment>> {
-        let mut all: Vec<&(u64, Arc<Fragment>)> = self
-            .shards
-            .iter()
-            .flat_map(|s| s.fragments.iter())
-            .collect();
-        all.sort_unstable_by_key(|(seq, _)| *seq);
-        all.iter().map(|(_, f)| f).collect()
-    }
-
-    /// Fragments containing a task that consumes any of `labels`,
-    /// deduplicated, in global insertion order — the same answer (and
-    /// order) [`InMemoryFragmentStore::consuming`] gives for the same
-    /// database.
-    pub fn consuming(&self, labels: &[Label]) -> Vec<Arc<Fragment>> {
-        let mut hits: Vec<(u64, Arc<Fragment>)> = Vec::new();
-        for shard in 0..self.shards.len() {
-            self.shard_consuming(shard, labels, &mut hits);
-        }
-        finish_hits(hits)
-    }
-}
-
-/// Sorts raw `(sequence, fragment)` hits into global insertion order and
-/// deduplicates by sequence — the collection step shared by the
-/// sequential fan-out and the parallel frontier workers.
-pub fn finish_hits(mut hits: Vec<(u64, Arc<Fragment>)>) -> Vec<Arc<Fragment>> {
-    hits.sort_unstable_by_key(|(seq, _)| *seq);
-    hits.dedup_by_key(|(seq, _)| *seq);
-    hits.into_iter().map(|(_, f)| f).collect()
-}
-
-impl ParallelFragmentSource for ShardedFragmentStore {
-    fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    fn shard_consuming(&self, shard: usize, labels: &[Label], out: &mut Vec<(u64, Arc<Fragment>)>) {
-        let shard = &self.shards[shard];
-        for label in labels {
-            if let Some(indices) = shard.by_consumed_label.get(label) {
-                out.extend(indices.iter().map(|&i| shard.fragments[i as usize].clone()));
-            }
-        }
-    }
-}
-
-impl FragmentSource for ShardedFragmentStore {
-    fn fragments_consuming(&mut self, labels: &[Label]) -> Vec<Arc<Fragment>> {
-        self.consuming(labels)
-    }
-}
-
-impl FromIterator<Fragment> for ShardedFragmentStore {
-    fn from_iter<I: IntoIterator<Item = Fragment>>(iter: I) -> Self {
-        let mut store = ShardedFragmentStore::new();
-        for f in iter {
-            store.insert(f);
-        }
-        store
-    }
-}
-
-impl FromIterator<Arc<Fragment>> for ShardedFragmentStore {
-    fn from_iter<I: IntoIterator<Item = Arc<Fragment>>>(iter: I) -> Self {
-        let mut store = ShardedFragmentStore::new();
-        for f in iter {
-            store.insert(f);
-        }
-        store
-    }
-}
-
-impl Extend<Fragment> for ShardedFragmentStore {
-    fn extend<I: IntoIterator<Item = Fragment>>(&mut self, iter: I) {
-        for f in iter {
-            self.insert(f);
-        }
-    }
-}
-
-impl Extend<Arc<Fragment>> for ShardedFragmentStore {
-    fn extend<I: IntoIterator<Item = Arc<Fragment>>>(&mut self, iter: I) {
-        for f in iter {
-            self.insert(f);
-        }
     }
 }
 
@@ -696,100 +407,11 @@ mod tests {
     }
 
     #[test]
-    fn sharded_store_matches_monolithic_answers() {
-        // Same database, any shard count: identical query answers in
-        // identical (global insertion) order.
-        let frags: Vec<Fragment> = (0..40)
-            .map(|i| {
-                frag(
-                    &format!("f{i}"),
-                    &format!("t{i}"),
-                    &[&format!("in{}", i % 7), "common"],
-                    &[&format!("out{}", i % 5)],
-                )
-            })
-            .collect();
-        let mono: InMemoryFragmentStore = frags.iter().cloned().collect();
-        for shards in [1usize, 2, 3, 8] {
-            let mut sharded = ShardedFragmentStore::with_shards(shards);
-            sharded.extend(frags.iter().cloned());
-            assert_eq!(sharded.len(), 40);
-            assert_eq!(sharded.shard_count(), shards);
-            for query in [
-                vec![Label::new("common")],
-                vec![Label::new("in3")],
-                vec![Label::new("in1"), Label::new("in2")],
-                vec![Label::new("absent")],
-            ] {
-                let a: Vec<String> = mono
-                    .consuming(&query)
-                    .iter()
-                    .map(|f| f.id().to_string())
-                    .collect();
-                let b: Vec<String> = sharded
-                    .consuming(&query)
-                    .iter()
-                    .map(|f| f.id().to_string())
-                    .collect();
-                assert_eq!(a, b, "{shards} shards, query {query:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn sharded_store_replaces_by_id() {
-        let mut s = ShardedFragmentStore::with_shards(4);
-        assert!(s.insert(frag("f", "t", &["a"], &["b"])));
-        assert!(!s.insert(frag("f", "t", &["x"], &["y"])), "replacement");
-        assert_eq!(s.len(), 1);
-        assert!(s.consuming(&[Label::new("a")]).is_empty());
-        assert_eq!(s.consuming(&[Label::new("x")]).len(), 1);
-        assert!(s.get(&FragmentId::new("f")).is_some());
-    }
-
-    #[test]
-    fn sharded_store_lists_fragments_in_insertion_order() {
-        let mut s = ShardedFragmentStore::with_shards(3);
-        for i in 0..10 {
-            s.insert(frag(
-                &format!("f{i}"),
-                &format!("t{i}"),
-                &["a"],
-                &[&format!("o{i}")],
-            ));
-        }
-        let ids: Vec<&str> = s
-            .fragments_shared()
-            .iter()
-            .map(|f| f.id().as_str())
-            .collect();
-        let want: Vec<String> = (0..10).map(|i| format!("f{i}")).collect();
-        assert_eq!(ids, want);
-    }
-
-    #[test]
-    fn shard_consuming_hits_carry_global_sequence() {
-        let mut s = ShardedFragmentStore::with_shards(2);
-        s.insert(frag("f0", "t0", &["a"], &["x"]));
-        s.insert(frag("f1", "t1", &["a", "b"], &["y"]));
-        let mut hits = Vec::new();
-        for shard in 0..s.shard_count() {
-            s.shard_consuming(shard, &[Label::new("a"), Label::new("b")], &mut hits);
-        }
-        // f1 matched twice (a and b); finish_hits dedups and orders.
-        let ids: Vec<String> = finish_hits(hits)
-            .iter()
-            .map(|f| f.id().to_string())
-            .collect();
-        assert_eq!(ids, ["f0", "f1"]);
-    }
-
-    #[test]
     fn restore_rebuilds_the_exact_layout() {
         // Build a store with interleaved inserts and replaces, then
-        // rebuild it from its own shard_entries — shards, slots,
-        // sequences and query answers must all come back identical.
-        let mut original = ShardedFragmentStore::with_shards(3);
+        // rebuild it from its own entries — slots, sequences and query
+        // answers must all come back identical.
+        let mut original = InMemoryFragmentStore::new();
         for i in 0..20 {
             original.insert(frag(
                 &format!("f{i}"),
@@ -798,8 +420,7 @@ mod tests {
                 &[&format!("out{}", i % 6)],
             ));
         }
-        // Replaces: new consumed labels, new produced labels (the
-        // fragment stays in its original shard regardless).
+        // Replaces keep their slot even when every label changes.
         for i in [3usize, 7, 11] {
             assert!(!original.insert(frag(
                 &format!("f{i}"),
@@ -809,31 +430,14 @@ mod tests {
             )));
         }
 
-        let mut entries: Vec<(u32, u64, Arc<Fragment>)> = Vec::new();
-        for shard in 0..original.shard_count() {
-            for (seq, f) in original.shard_entries(shard) {
-                entries.push((shard as u32, seq, Arc::clone(f)));
-            }
+        let mut restored = InMemoryFragmentStore::new();
+        for (seq, f) in original.entries() {
+            assert!(restored.restore(seq, Arc::clone(f)));
         }
-        entries.sort_by_key(|&(_, seq, _)| seq);
-
-        let mut restored = ShardedFragmentStore::with_shards(original.shard_count());
-        for (shard, seq, f) in entries {
-            assert!(restored.restore_fragment(shard, seq, f));
-        }
-        assert_eq!(restored.next_seq(), original.next_seq());
-        assert_eq!(restored.len(), original.len());
-        for shard in 0..original.shard_count() {
-            let a: Vec<(u64, &str)> = original
-                .shard_entries(shard)
-                .map(|(s, f)| (s, f.id().as_str()))
-                .collect();
-            let b: Vec<(u64, &str)> = restored
-                .shard_entries(shard)
-                .map(|(s, f)| (s, f.id().as_str()))
-                .collect();
-            assert_eq!(a, b, "shard {shard} layout differs");
-        }
+        let layout = |s: &InMemoryFragmentStore| -> Vec<(u64, String)> {
+            s.entries().map(|(q, f)| (q, f.id().to_string())).collect()
+        };
+        assert_eq!(layout(&restored), layout(&original));
         for q in ["in0", "in3", "swapped", "absent"] {
             let a: Vec<String> = original
                 .consuming(&[Label::new(q)])
@@ -849,21 +453,30 @@ mod tests {
         }
         // Tail inserts continue the original numbering.
         restored.insert(frag("f-new", "t-new", &["x"], &["y"]));
-        let new_seq = (0..restored.shard_count())
-            .flat_map(|s| restored.shard_entries(s))
+        let new_seq = restored
+            .entries()
             .find(|(_, f)| f.id().as_str() == "f-new")
             .map(|(seq, _)| seq)
             .unwrap();
-        assert_eq!(new_seq, original.next_seq());
+        assert_eq!(new_seq, original.len() as u64);
     }
 
     #[test]
-    fn restore_with_duplicate_id_degrades_to_replace() {
-        let mut s = ShardedFragmentStore::with_shards(2);
-        s.insert(frag("f", "t", &["a"], &["b"]));
-        assert!(!s.restore_fragment(1, 99, Arc::new(frag("f", "t", &["x"], &["b"]))));
+    fn restore_rejects_gaps_and_duplicate_ids() {
+        let mut s = InMemoryFragmentStore::new();
+        assert!(
+            !s.restore(1, Arc::new(frag("f", "t", &["a"], &["b"]))),
+            "gap"
+        );
+        assert!(s.is_empty());
+        assert!(s.restore(0, Arc::new(frag("f", "t", &["a"], &["b"]))));
+        assert!(
+            !s.restore(1, Arc::new(frag("f", "t", &["x"], &["b"]))),
+            "duplicate id"
+        );
         assert_eq!(s.len(), 1);
-        assert_eq!(s.consuming(&[Label::new("x")]).len(), 1);
+        assert!(s.consuming(&[Label::new("x")]).is_empty(), "unchanged");
+        assert_eq!(s.consuming(&[Label::new("a")]).len(), 1);
     }
 
     #[test]

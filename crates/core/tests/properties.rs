@@ -318,60 +318,6 @@ proptest! {
         }
     }
 
-    /// Parallel frontier exploration is a pure implementation strategy:
-    /// for every worker count and shard count, construction over a
-    /// sharded store must produce a supergraph isomorphic to (in fact,
-    /// string-identical with) sequential construction over a monolithic
-    /// store, and the same workflow — across pick orders.
-    #[test]
-    fn parallel_construction_is_isomorphic_to_sequential(
-        (fragments, spec) in arb_world(12, 10)
-    ) {
-        for order in [PickOrder::Fifo, PickOrder::Lifo, PickOrder::Random(7)] {
-            let mut seq_store: InMemoryFragmentStore = fragments.iter().cloned().collect();
-            let sequential = IncrementalConstructor::new()
-                .pick_order(order)
-                .construct(&mut seq_store, &spec);
-            for workers in [2usize, 4] {
-                let mut store = ShardedFragmentStore::with_shards(3);
-                store.extend(fragments.iter().cloned());
-                let parallel = IncrementalConstructor::new()
-                    .pick_order(order)
-                    .workers(workers)
-                    .construct_parallel(&store, &spec);
-                match (&sequential, &parallel) {
-                    (Ok((sc, ssg)), Ok((pc, psg))) => {
-                        // Same supergraph in string space…
-                        prop_assert_eq!(
-                            graph_strings(ssg.graph()),
-                            graph_strings(psg.graph()),
-                            "supergraph must be isomorphic ({:?}, {} workers)",
-                            order, workers
-                        );
-                        prop_assert_eq!(ssg.fragment_count(), psg.fragment_count());
-                        // …and the same constructed workflow.
-                        prop_assert_eq!(
-                            graph_strings(sc.workflow().graph()),
-                            graph_strings(pc.workflow().graph()),
-                            "workflow must match ({:?}, {} workers)",
-                            order, workers
-                        );
-                        prop_assert_eq!(sc.stats(), pc.stats());
-                    }
-                    (
-                        Err(ConstructError::NoSolution { .. }),
-                        Err(ConstructError::NoSolution { .. }),
-                    ) => {}
-                    (s, p) => prop_assert!(
-                        false,
-                        "sequential and parallel disagree ({order:?}, {workers} workers): \
-                         {s:?} vs {p:?}"
-                    ),
-                }
-            }
-        }
-    }
-
     #[test]
     fn blue_workflow_is_subset_of_knowledge((fragments, spec) in arb_world(12, 10)) {
         let sg = Supergraph::from_fragments(&fragments).unwrap();

@@ -2,10 +2,9 @@
 //!
 //! A host in the open workflow system is a pure state machine: it reacts to
 //! messages and timers by updating local state and emitting messages/timers
-//! through a [`Context`]. The same actor code runs unchanged on the
-//! deterministic [`crate::SimNetwork`] and the threaded
-//! [`crate::ThreadNetwork`] — realizing the architecture's communications
-//! layer indirection.
+//! through a [`Context`], so it never sees the transport — realizing the
+//! architecture's communications layer indirection. The deterministic
+//! [`crate::SimNetwork`] drives actors.
 
 use std::fmt;
 

@@ -3,7 +3,7 @@
 //!
 //! [`DurableFragmentStore`] persists every inserted fragment as one
 //! encoded wire frame in a log of rolling segment files, and keeps an
-//! in-memory [`ShardedFragmentStore`] as its query index. Opening a
+//! in-memory [`InMemoryFragmentStore`] as its query index. Opening a
 //! directory **replays** the log in order — decoding each record,
 //! verifying its CRC, and rebuilding the index with the *same global
 //! insertion sequence* the original process assigned — so a restarted
@@ -13,9 +13,9 @@
 //! Replaying the whole log costs O(insert history): every superseded
 //! fragment a community ever churned is re-decoded on restart. A
 //! **snapshot** bounds that: a side file holding the encoded *live*
-//! fragment set plus the `(shard, seq)` placement metadata needed to
-//! rebuild the index bit-identically (the global sequence numbers the
-//! merge-order invariant depends on), stamped with the first segment it
+//! fragment set plus each fragment's global insertion sequence (the
+//! order every query answers in, and so the order construction merges
+//! in), stamped with the first segment it
 //! does **not** cover. Restart then loads the newest intact snapshot
 //! and replays only the tail segments after it — O(live + tail).
 //! **Compaction** deletes the segments a snapshot covers, bounding the
@@ -39,9 +39,13 @@
 //! ```
 //!
 //! A segment-log record's payload is one `TAG_FRAGMENT` wire frame; a
-//! snapshot frag-record prefixes the frame with the index placement the
-//! restored fragment must reoccupy. Snapshot frag-records are written
-//! in global sequence order, so loading one is a single in-order pass.
+//! snapshot frag-record prefixes the frame with the insertion sequence
+//! the restored fragment must reoccupy. Snapshot frag-records are
+//! written in sequence order, so loading one is a single in-order pass.
+//! `shards` and `shard` date from a sharded index: the writer puts 1
+//! and 0 there, and the loader checks CRCs and record shape as for any
+//! other field but otherwise ignores both, so snapshots written with
+//! any shard count still open.
 //!
 //! Crash recovery: a torn append leaves a partial record (or a record
 //! whose CRC no longer matches) at the **tail of the final segment**;
@@ -73,9 +77,7 @@ use std::sync::Arc;
 
 use openwf_core::construct::incremental::FragmentSource;
 use openwf_core::store::{BackendError, FragmentBackend};
-use openwf_core::{
-    Fragment, FragmentId, FxHashMap, Label, ParallelFragmentSource, ShardedFragmentStore,
-};
+use openwf_core::{Fragment, FragmentId, FxHashMap, InMemoryFragmentStore, Label};
 
 use crate::model::{decode_fragment_with, encode_fragment, DecodeScratch};
 use crate::VocabularyBudget;
@@ -89,10 +91,11 @@ const SNAPSHOT_MAGIC: &[u8; 6] = b"OWFSNP";
 const SNAPSHOT_VERSION: u8 = 1;
 const SNAPSHOT_HEADER_LEN: u64 = 8;
 /// Snapshot meta-record payload: tail_seg, next_seq, live, record_count
-/// (u64 each) + shard count (u32).
+/// (u64 each) + shard count (u32, written as 1, ignored on read).
 const SNAPSHOT_META_LEN: usize = 36;
-/// Bytes a snapshot frag-record spends on index placement (shard:u32 +
-/// seq:u64) before the fragment frame starts.
+/// Bytes a snapshot frag-record spends on index placement (shard:u32,
+/// written as 0 and ignored on read, + seq:u64) before the fragment
+/// frame starts.
 const SNAPSHOT_PLACEMENT_LEN: usize = 12;
 
 /// Default segment roll size: 8 MiB.
@@ -344,7 +347,7 @@ struct SnapshotState {
 /// plus tail replay): the index under construction and the accounting
 /// the finished store inherits.
 struct RestoreState {
-    index: ShardedFragmentStore,
+    index: InMemoryFragmentStore,
     log_bytes: u64,
     record_count: u64,
     live_bytes: u64,
@@ -353,9 +356,9 @@ struct RestoreState {
 }
 
 impl RestoreState {
-    fn new(shards: usize) -> Self {
+    fn new() -> Self {
         RestoreState {
-            index: ShardedFragmentStore::with_shards(shards),
+            index: InMemoryFragmentStore::new(),
             log_bytes: 0,
             record_count: 0,
             live_bytes: 0,
@@ -402,7 +405,7 @@ pub struct StoreOpStats {
 /// and never touch the disk.
 pub struct DurableFragmentStore {
     dir: PathBuf,
-    index: ShardedFragmentStore,
+    index: InMemoryFragmentStore,
     writer: BufWriter<File>,
     /// Sequence number of the segment currently being appended.
     seg_seq: u64,
@@ -450,35 +453,31 @@ impl fmt::Debug for DurableFragmentStore {
 }
 
 impl DurableFragmentStore {
-    /// Opens (creating if absent) the log in `dir` with one index shard
-    /// and the default segment size, replaying any existing records.
+    /// Opens (creating if absent) the log in `dir` with the default
+    /// segment size, replaying any existing records.
     ///
     /// # Errors
     ///
     /// [`StorageError`] on I/O failure or non-recoverable corruption.
     pub fn open(dir: impl Into<PathBuf>) -> Result<Self, StorageError> {
-        DurableFragmentStore::open_with(dir, 1, DEFAULT_SEGMENT_BYTES)
+        DurableFragmentStore::open_with(dir, DEFAULT_SEGMENT_BYTES)
     }
 
-    /// Opens the log in `dir` with `shards` index shards and a custom
-    /// segment roll size, manual-only maintenance.
+    /// Opens the log in `dir` with a custom segment roll size,
+    /// manual-only maintenance.
     ///
     /// # Errors
     ///
     /// [`StorageError`] on I/O failure or non-recoverable corruption.
-    pub fn open_with(
-        dir: impl Into<PathBuf>,
-        shards: usize,
-        segment_bytes: u64,
-    ) -> Result<Self, StorageError> {
-        DurableFragmentStore::open_with_policy(dir, shards, segment_bytes, StoragePolicy::default())
+    pub fn open_with(dir: impl Into<PathBuf>, segment_bytes: u64) -> Result<Self, StorageError> {
+        DurableFragmentStore::open_with_policy(dir, segment_bytes, StoragePolicy::default())
     }
 
-    /// Opens the log in `dir` with `shards` index shards, a custom
-    /// segment roll size, and a snapshot/compaction [`StoragePolicy`].
+    /// Opens the log in `dir` with a custom segment roll size and a
+    /// snapshot/compaction [`StoragePolicy`].
     ///
     /// Restoration prefers the newest intact snapshot: its live set is
-    /// loaded back into the exact `(shard, seq)` placements it held,
+    /// loaded back into the exact insertion sequences it held,
     /// then only the tail segments after it replay — O(live + tail)
     /// work instead of O(insert history). A torn or damaged snapshot is
     /// ignored in favour of an older one or full replay.
@@ -489,7 +488,6 @@ impl DurableFragmentStore {
     /// or a compacted-away prefix with no intact snapshot covering it.
     pub fn open_with_policy(
         dir: impl Into<PathBuf>,
-        shards: usize,
         segment_bytes: u64,
         policy: StoragePolicy,
     ) -> Result<Self, StorageError> {
@@ -530,7 +528,7 @@ impl DurableFragmentStore {
             if !tail_ok {
                 continue;
             }
-            if let Some(loaded) = load_snapshot(&snapshot_path(&dir, snap_seq), snap_seq, shards)? {
+            if let Some(loaded) = load_snapshot(&snapshot_path(&dir, snap_seq), snap_seq)? {
                 restored = Some(loaded);
                 break;
             }
@@ -553,7 +551,7 @@ impl DurableFragmentStore {
                         });
                     }
                 }
-                (RestoreState::new(shards), None)
+                (RestoreState::new(), None)
             }
         };
         let tail_start = snapshot.map_or(0, |s| s.tail_seg);
@@ -784,21 +782,6 @@ impl DurableFragmentStore {
         let final_path = snapshot_path(&self.dir, tail_seg);
         let tmp_path = self.dir.join(format!("snap-{tail_seg:08}.owfs.tmp"));
 
-        // The live set with its index placement, in global sequence
-        // order: load is then a single in-order pass that reproduces
-        // per-shard slot order (slot order == seq order, an invariant
-        // `ShardedFragmentStore` maintains because replaces keep their
-        // slot and seq).
-        let mut entries: Vec<(u32, u64, Arc<Fragment>)> = Vec::with_capacity(self.index.len());
-        for shard in 0..self.index.shard_count() {
-            entries.extend(
-                self.index
-                    .shard_entries(shard)
-                    .map(|(seq, f)| (shard as u32, seq, Arc::clone(f))),
-            );
-        }
-        entries.sort_unstable_by_key(|&(_, seq, _)| seq);
-
         let mut w = BufWriter::new(File::create(&tmp_path)?);
         let mut header = [0u8; SNAPSHOT_HEADER_LEN as usize];
         header[..6].copy_from_slice(SNAPSHOT_MAGIC);
@@ -807,16 +790,20 @@ impl DurableFragmentStore {
 
         let mut meta = [0u8; SNAPSHOT_META_LEN];
         meta[0..8].copy_from_slice(&tail_seg.to_le_bytes());
-        meta[8..16].copy_from_slice(&self.index.next_seq().to_le_bytes());
-        meta[16..24].copy_from_slice(&(entries.len() as u64).to_le_bytes());
+        // Sequences are dense, so next_seq and the live count are both
+        // the store's length.
+        let live = self.index.len() as u64;
+        meta[8..16].copy_from_slice(&live.to_le_bytes());
+        meta[16..24].copy_from_slice(&live.to_le_bytes());
         meta[24..32].copy_from_slice(&self.record_count.to_le_bytes());
-        meta[32..36].copy_from_slice(&(self.index.shard_count() as u32).to_le_bytes());
+        meta[32..36].copy_from_slice(&1u32.to_le_bytes());
         write_record(&mut w, &meta)?;
 
+        // The live set in sequence order: load is a single in-order pass.
         let mut record_bytes = 0u64;
-        for (shard, seq, f) in &entries {
+        for (seq, f) in self.index.entries() {
             self.scratch.clear();
-            self.scratch.extend_from_slice(&shard.to_le_bytes());
+            self.scratch.extend_from_slice(&0u32.to_le_bytes());
             self.scratch.extend_from_slice(&seq.to_le_bytes());
             encode_fragment(f, &mut self.scratch);
             write_record(&mut w, &self.scratch)?;
@@ -911,7 +898,7 @@ impl DurableFragmentStore {
     }
 
     /// The in-memory query index over the logged fragments.
-    pub fn index(&self) -> &ShardedFragmentStore {
+    pub fn index(&self) -> &InMemoryFragmentStore {
         &self.index
     }
 
@@ -1023,11 +1010,10 @@ impl Drop for DurableFragmentStore {
 /// damaged in any way — the caller falls back to an older snapshot or
 /// full replay; only real I/O failures are errors. A loaded snapshot
 /// passed every CRC, decoded exactly its declared live set with dense
-/// placements, and ended cleanly.
+/// sequences, and ended cleanly.
 fn load_snapshot(
     path: &Path,
     expect_tail: u64,
-    shards: usize,
 ) -> Result<Option<(RestoreState, SnapshotState)>, StorageError> {
     let bytes = match std::fs::read(path) {
         Ok(b) => b,
@@ -1068,15 +1054,12 @@ fn load_snapshot(
     let next_seq = u64::from_le_bytes(meta[8..16].try_into().expect("8 bytes"));
     let live = u64::from_le_bytes(meta[16..24].try_into().expect("8 bytes"));
     let record_count = u64::from_le_bytes(meta[24..32].try_into().expect("8 bytes"));
-    // meta[32..36]: the writer's shard count — informational only; the
-    // placement shard is taken modulo the opener's shard count, so a
-    // snapshot stays loadable (and query-equivalent, placements' seqs
-    // preserved) under a different sharding.
+    // meta[32..36]: the writer's shard count, ignored (see module docs).
     if tail_seg != expect_tail || live > record_count || next_seq != live {
         return Ok(None);
     }
 
-    let mut state = RestoreState::new(shards);
+    let mut state = RestoreState::new();
     let mut budget = VocabularyBudget::unlimited();
     for _ in 0..live {
         let Some((start, end)) = next_record(&bytes, &mut pos) else {
@@ -1086,18 +1069,15 @@ fn load_snapshot(
         if payload.len() < SNAPSHOT_PLACEMENT_LEN {
             return Ok(None);
         }
-        let shard = u32::from_le_bytes(payload[0..4].try_into().expect("4 bytes"));
+        // payload[0..4]: the writer's shard, ignored (see module docs).
         let seq = u64::from_le_bytes(payload[4..12].try_into().expect("8 bytes"));
         let frame = &payload[SNAPSHOT_PLACEMENT_LEN..];
         match decode_fragment_with(frame, &mut budget, &mut state.decode) {
             Ok((fragment, consumed)) if consumed == frame.len() => {
-                if seq >= next_seq {
-                    return Ok(None);
-                }
                 let id = fragment.id().clone();
-                if !state.index.restore_fragment(shard, seq, fragment) {
-                    // Duplicate id inside one snapshot: not a shape a
-                    // writer produces.
+                if !state.index.restore(seq, fragment) {
+                    // An out-of-order sequence or a duplicate id: not a
+                    // shape a writer produces.
                     return Ok(None);
                 }
                 account_live(
@@ -1110,7 +1090,7 @@ fn load_snapshot(
             _ => return Ok(None),
         }
     }
-    if pos != bytes.len() || state.index.next_seq() != next_seq {
+    if pos != bytes.len() || state.index.len() as u64 != next_seq {
         return Ok(None);
     }
     state.record_count = record_count;
@@ -1239,7 +1219,7 @@ impl FragmentBackend for DurableFragmentStore {
         self.insert(fragment).map_err(BackendError::from)
     }
 
-    fn index(&self) -> &ShardedFragmentStore {
+    fn index(&self) -> &InMemoryFragmentStore {
         &self.index
     }
 
@@ -1267,16 +1247,6 @@ impl FragmentBackend for DurableFragmentStore {
             ("replayed_records", self.ops.replayed_records),
             ("replay_micros", self.ops.replay_micros),
         ]
-    }
-}
-
-impl ParallelFragmentSource for DurableFragmentStore {
-    fn shard_count(&self) -> usize {
-        self.index.shard_count()
-    }
-
-    fn shard_consuming(&self, shard: usize, labels: &[Label], out: &mut Vec<(u64, Arc<Fragment>)>) {
-        self.index.shard_consuming(shard, labels, out);
     }
 }
 
@@ -1325,26 +1295,21 @@ mod tests {
         .unwrap()
     }
 
-    /// The store's observable identity: per-shard `(seq, encoded
-    /// frame)` listings plus the next sequence number. Two stores with
-    /// equal dumps answer every query identically and assign identical
-    /// seqs to future inserts — the bit-identical restart contract.
-    type Dump = (u64, Vec<Vec<(u64, Vec<u8>)>>);
+    /// The store's observable identity: its `(seq, encoded frame)`
+    /// listing. Two stores with equal dumps answer every query
+    /// identically and assign identical seqs to future inserts — the
+    /// bit-identical restart contract.
+    type Dump = Vec<(u64, Vec<u8>)>;
 
-    fn dump(store: &ShardedFragmentStore) -> Dump {
-        let shards = (0..store.shard_count())
-            .map(|s| {
-                store
-                    .shard_entries(s)
-                    .map(|(seq, f)| {
-                        let mut buf = Vec::new();
-                        encode_fragment(f, &mut buf);
-                        (seq, buf)
-                    })
-                    .collect()
+    fn dump(store: &InMemoryFragmentStore) -> Dump {
+        store
+            .entries()
+            .map(|(seq, f)| {
+                let mut buf = Vec::new();
+                encode_fragment(f, &mut buf);
+                (seq, buf)
             })
-            .collect();
-        (store.next_seq(), shards)
+            .collect()
     }
 
     #[test]
@@ -1371,7 +1336,6 @@ mod tests {
         let ids: Vec<String> = s
             .index()
             .fragments_shared()
-            .iter()
             .map(|f| f.id().to_string())
             .collect();
         let want: Vec<String> = (0..50).map(|i| format!("ds-f{i}")).collect();
@@ -1389,13 +1353,13 @@ mod tests {
         let dir = tmp_dir("roll");
         {
             // Tiny segments force several rolls.
-            let mut s = DurableFragmentStore::open_with(&dir, 2, 256).unwrap();
+            let mut s = DurableFragmentStore::open_with(&dir, 256).unwrap();
             for i in 0..40 {
                 s.insert(frag(i)).unwrap();
             }
             assert!(s.segment_count() > 2, "got {}", s.segment_count());
         }
-        let s = DurableFragmentStore::open_with(&dir, 2, 256).unwrap();
+        let s = DurableFragmentStore::open_with(&dir, 256).unwrap();
         assert_eq!(s.len(), 40);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1459,7 +1423,6 @@ mod tests {
         let ids: Vec<String> = s
             .index()
             .fragments_shared()
-            .iter()
             .map(|f| f.id().to_string())
             .collect();
         let want: Vec<String> = (0..25).map(|i| format!("ds-f{i}")).collect();
@@ -1474,13 +1437,13 @@ mod tests {
     fn clean_drop_without_sync_survives_segment_rolls() {
         let dir = tmp_dir("dropflush-roll");
         {
-            let mut s = DurableFragmentStore::open_with(&dir, 1, 256).unwrap();
+            let mut s = DurableFragmentStore::open_with(&dir, 256).unwrap();
             for i in 0..40 {
                 s.insert(frag(i)).unwrap();
             }
             assert!(s.segment_count() > 2, "got {}", s.segment_count());
         }
-        let s = DurableFragmentStore::open_with(&dir, 1, 256).unwrap();
+        let s = DurableFragmentStore::open_with(&dir, 256).unwrap();
         assert_eq!(s.len(), 40);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1489,7 +1452,7 @@ mod tests {
     fn mid_log_corruption_is_fatal_not_silent() {
         let dir = tmp_dir("midcorrupt");
         {
-            let mut s = DurableFragmentStore::open_with(&dir, 1, 128).unwrap();
+            let mut s = DurableFragmentStore::open_with(&dir, 128).unwrap();
             for i in 0..20 {
                 s.insert(frag(i)).unwrap();
             }
@@ -1501,7 +1464,7 @@ mod tests {
         let idx = bytes.len() - 2;
         bytes[idx] ^= 0xff;
         std::fs::write(&seg, &bytes).unwrap();
-        let err = DurableFragmentStore::open_with(&dir, 1, 128).unwrap_err();
+        let err = DurableFragmentStore::open_with(&dir, 128).unwrap_err();
         assert!(matches!(err, StorageError::Corrupt { .. }), "{err}");
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1511,7 +1474,7 @@ mod tests {
         let dir = tmp_dir("snap-bitident");
         let want;
         {
-            let mut s = DurableFragmentStore::open_with(&dir, 3, 512).unwrap();
+            let mut s = DurableFragmentStore::open_with(&dir, 512).unwrap();
             for i in 0..30 {
                 s.insert(frag(i)).unwrap();
             }
@@ -1530,7 +1493,7 @@ mod tests {
             assert_eq!(s.live_len(), 40);
             want = dump(s.index());
         }
-        let s = DurableFragmentStore::open_with(&dir, 3, 512).unwrap();
+        let s = DurableFragmentStore::open_with(&dir, 512).unwrap();
         assert_eq!(dump(s.index()), want, "snapshot + tail == original");
         assert_eq!(s.record_count(), 51, "history length survives restart");
         let _ = std::fs::remove_dir_all(&dir);
@@ -1539,7 +1502,7 @@ mod tests {
     #[test]
     fn snapshot_is_noop_when_clean_and_supersedes_older_ones() {
         let dir = tmp_dir("snap-noop");
-        let mut s = DurableFragmentStore::open_with(&dir, 1, 256).unwrap();
+        let mut s = DurableFragmentStore::open_with(&dir, 256).unwrap();
         for i in 0..10 {
             s.insert(frag(i)).unwrap();
         }
@@ -1564,7 +1527,7 @@ mod tests {
         let dir = tmp_dir("compact");
         let want;
         {
-            let mut s = DurableFragmentStore::open_with(&dir, 2, 256).unwrap();
+            let mut s = DurableFragmentStore::open_with(&dir, 256).unwrap();
             for i in 0..40 {
                 s.insert(frag(i)).unwrap();
             }
@@ -1584,7 +1547,7 @@ mod tests {
             assert_eq!(s.garbage_bytes(), 0, "covered garbage reclaimed");
             want = dump(s.index());
         }
-        let s = DurableFragmentStore::open_with(&dir, 2, 256).unwrap();
+        let s = DurableFragmentStore::open_with(&dir, 256).unwrap();
         assert_eq!(
             dump(s.index()),
             want,
@@ -1599,7 +1562,7 @@ mod tests {
         let dir = tmp_dir("snap-torn");
         let want;
         {
-            let mut s = DurableFragmentStore::open_with(&dir, 1, 256).unwrap();
+            let mut s = DurableFragmentStore::open_with(&dir, 256).unwrap();
             for i in 0..20 {
                 s.insert(frag(i)).unwrap();
             }
@@ -1617,7 +1580,7 @@ mod tests {
         let idx = bytes.len() - 2;
         bytes[idx] ^= 0xff;
         std::fs::write(&snap, &bytes).unwrap();
-        let s = DurableFragmentStore::open_with(&dir, 1, 256).unwrap();
+        let s = DurableFragmentStore::open_with(&dir, 256).unwrap();
         assert_eq!(
             dump(s.index()),
             want,
@@ -1630,7 +1593,7 @@ mod tests {
     fn torn_snapshot_after_compaction_is_refused_not_partial() {
         let dir = tmp_dir("snap-torn-compacted");
         {
-            let mut s = DurableFragmentStore::open_with(&dir, 1, 256).unwrap();
+            let mut s = DurableFragmentStore::open_with(&dir, 256).unwrap();
             for i in 0..20 {
                 s.insert(frag(i)).unwrap();
             }
@@ -1648,7 +1611,7 @@ mod tests {
         std::fs::write(&snap, &bytes).unwrap();
         // The prefix is gone and the only snapshot covering it is torn:
         // opening must refuse rather than resurrect a partial store.
-        let err = DurableFragmentStore::open_with(&dir, 1, 256).unwrap_err();
+        let err = DurableFragmentStore::open_with(&dir, 256).unwrap_err();
         assert!(matches!(err, StorageError::Corrupt { .. }), "{err}");
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1709,7 +1672,7 @@ mod tests {
             .snapshot_every(16)
             .compact_below_live_percent(50)
             .compact_min_bytes(1);
-        let mut s = DurableFragmentStore::open_with_policy(&dir, 1, 256, policy).unwrap();
+        let mut s = DurableFragmentStore::open_with_policy(&dir, 256, policy).unwrap();
         for i in 0..16 {
             s.insert(frag(i)).unwrap();
         }
@@ -1730,34 +1693,85 @@ mod tests {
         assert_eq!(s.live_len(), 16);
         assert_eq!(s.record_count(), 32);
         drop(s);
-        let s = DurableFragmentStore::open_with(&dir, 1, 256).unwrap();
+        let s = DurableFragmentStore::open_with(&dir, 256).unwrap();
         assert_eq!(s.live_len(), 16);
         assert_eq!(s.record_count(), 32);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// Snapshots written by the sharded index (here: 4 shards) still
+    /// open. The test writes a snapshot, patches its `shards`/`shard`
+    /// fields to what a 4-shard writer produced, re-CRCs each record,
+    /// and checks that the reopened store is the one snapshotted.
     #[test]
-    fn snapshot_loads_under_different_shard_count() {
-        let dir = tmp_dir("snap-reshard");
+    fn snapshot_from_a_sharded_writer_still_opens() {
+        let dir = tmp_dir("snap-sharded-writer");
+        let want;
+        let answers = |s: &DurableFragmentStore| -> Vec<Vec<String>> {
+            (0..21)
+                .map(|i| {
+                    s.index()
+                        .consuming(&[Label::new(format!("ds-l{i}"))])
+                        .iter()
+                        .map(|f| f.id().to_string())
+                        .collect()
+                })
+                .collect()
+        };
+        let want_answers;
         {
-            let mut s = DurableFragmentStore::open_with(&dir, 4, 256).unwrap();
+            let mut s = DurableFragmentStore::open_with(&dir, 256).unwrap();
             for i in 0..20 {
                 s.insert(frag(i)).unwrap();
             }
+            for i in [4, 9] {
+                assert!(!s.insert(frag_v2(i)).unwrap());
+            }
+            // Compaction deletes the covered log: the reopen below can
+            // only succeed through the patched snapshot.
             s.compact().unwrap();
+            want = dump(s.index());
+            want_answers = answers(&s);
         }
-        // Reopen with a different sharding: placements fold modulo the
-        // new shard count, seqs are preserved, answers are identical.
-        let s = DurableFragmentStore::open_with(&dir, 2, 256).unwrap();
-        assert_eq!(s.len(), 20);
-        assert_eq!(s.index().next_seq(), 20);
-        for i in 0..20 {
-            assert_eq!(
-                s.index().consuming(&[Label::new(format!("ds-l{i}"))]).len(),
-                1,
-                "label ds-l{i}"
-            );
+        let snap = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .find(|p| p.to_str().is_some_and(|s| s.contains("snap-")))
+            .expect("snapshot file exists");
+        let mut bytes = std::fs::read(&snap).unwrap();
+        let mut pos = SNAPSHOT_HEADER_LEN as usize;
+        let mut record = 0u32;
+        while pos < bytes.len() {
+            let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap()) as usize;
+            let start = pos + RECORD_HEADER_LEN as usize;
+            let payload = &mut bytes[start..start + len];
+            if record == 0 {
+                payload[32..36].copy_from_slice(&4u32.to_le_bytes());
+            } else {
+                payload[0..4].copy_from_slice(&((record - 1) % 4).to_le_bytes());
+            }
+            let crc = crc32(&bytes[start..start + len]);
+            bytes[pos + 4..pos + 8].copy_from_slice(&crc.to_le_bytes());
+            pos = start + len;
+            record += 1;
         }
+        assert_eq!(record, 21, "one meta-record and 20 frag-records");
+        std::fs::write(&snap, &bytes).unwrap();
+
+        let mut s = DurableFragmentStore::open_with(&dir, 256).unwrap();
+        assert_eq!(dump(s.index()), want, "same ids, order and sequences");
+        assert_eq!(s.len(), 20, "next sequence is 20");
+        assert_eq!(answers(&s), want_answers, "same query answers");
+        assert!(s.insert(frag(20)).unwrap());
+        assert_eq!(
+            s.index()
+                .entries()
+                .last()
+                .map(|(seq, f)| (seq, f.id().to_string())),
+            Some((20, "ds-f20".to_string())),
+            "tail inserts continue the numbering"
+        );
+        drop(s);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -9,7 +9,9 @@
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use openwf_core::{Fragment, Graph, IncrementalConstructor, Mode, ShardedFragmentStore, Spec};
+use openwf_core::{
+    Fragment, FragmentSource, Graph, InMemoryFragmentStore, IncrementalConstructor, Mode, Spec,
+};
 use openwf_wire::DurableFragmentStore;
 use proptest::prelude::*;
 
@@ -67,15 +69,12 @@ fn graphs_identical(a: &Graph, b: &Graph) -> bool {
         && a.edges().eq(b.edges())
 }
 
-/// Constructs over any parallel source and returns the built workflow
+/// Constructs over any fragment source and returns the built workflow
 /// graph plus the used-fragment ids, the full identity the acceptance
 /// criterion compares.
-fn construct<S: openwf_core::ParallelFragmentSource>(
-    store: &S,
-    spec: &Spec,
-) -> (Graph, Vec<String>) {
+fn construct(store: impl FragmentSource, spec: &Spec) -> (Graph, Vec<String>) {
     let (c, _sg) = IncrementalConstructor::new()
-        .construct_parallel(store, spec)
+        .construct(store, spec)
         .expect("universes are satisfiable");
     let used: Vec<String> = c.fragments_used().iter().map(|f| f.to_string()).collect();
     (c.workflow().graph().clone(), used)
@@ -88,32 +87,31 @@ proptest! {
     fn durable_construction_matches_memory_across_restarts(
         n in 2usize..40,
         extra in collection::vec(any::<u8>(), 2..3),
-        shards in 1usize..4,
         case in any::<u64>(),
     ) {
         let (fragments, spec) = universe(n, &extra);
-        let mut memory = ShardedFragmentStore::with_shards(shards);
+        let mut memory = InMemoryFragmentStore::new();
         for f in &fragments {
             memory.insert(Arc::clone(f));
         }
         let dir = tmp_dir("restart", case);
         {
             let mut durable =
-                DurableFragmentStore::open_with(&dir, shards, 1024).expect("open log");
+                DurableFragmentStore::open_with(&dir, 1024).expect("open log");
             for f in &fragments {
                 durable.insert(Arc::clone(f)).expect("append");
             }
-            let (gm, um) = construct(&memory, &spec);
-            let (gd, ud) = construct(&durable, &spec);
+            let (gm, um) = construct(&mut memory, &spec);
+            let (gd, ud) = construct(&mut durable, &spec);
             prop_assert!(graphs_identical(&gm, &gd), "pre-restart construction differs");
             prop_assert_eq!(um, ud);
             durable.sync().expect("sync");
         }
         // Restart: replay the log and construct again.
-        let durable = DurableFragmentStore::open_with(&dir, shards, 1024).expect("reopen log");
+        let mut durable = DurableFragmentStore::open_with(&dir, 1024).expect("reopen log");
         prop_assert_eq!(durable.len(), fragments.len());
-        let (gm, um) = construct(&memory, &spec);
-        let (gd, ud) = construct(&durable, &spec);
+        let (gm, um) = construct(&mut memory, &spec);
+        let (gd, ud) = construct(&mut durable, &spec);
         prop_assert!(graphs_identical(&gm, &gd), "post-restart construction differs");
         prop_assert_eq!(um, ud);
         drop(durable);
@@ -145,10 +143,10 @@ fn torn_append_recovers_to_memory_equivalent_store() {
     f.sync_all().unwrap();
     drop(f);
 
-    let recovered = DurableFragmentStore::open(&dir).expect("crash recovery");
+    let mut recovered = DurableFragmentStore::open(&dir).expect("crash recovery");
     assert_eq!(recovered.len(), 11, "exactly the torn record is lost");
 
-    let mut memory = ShardedFragmentStore::with_shards(1);
+    let mut memory = InMemoryFragmentStore::new();
     for f in &fragments[..11] {
         memory.insert(Arc::clone(f));
     }
@@ -156,8 +154,8 @@ fn torn_append_recovers_to_memory_equivalent_store() {
         spec.triggers().iter().cloned(),
         [openwf_core::Label::new("dl11")],
     );
-    let (gm, um) = construct(&memory, &spec_short);
-    let (gd, ud) = construct(&recovered, &spec_short);
+    let (gm, um) = construct(&mut memory, &spec_short);
+    let (gd, ud) = construct(&mut recovered, &spec_short);
     assert!(
         graphs_identical(&gm, &gd),
         "recovered construction must match memory"
