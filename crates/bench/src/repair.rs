@@ -15,7 +15,8 @@
 
 use openwf_core::{Fragment, Mode, Spec};
 use openwf_runtime::{
-    Community, CommunityBuilder, HostConfig, ProblemStatus, RuntimeParams, ServiceDescription,
+    Community, CommunityBuilder, Driver, HostConfig, ProblemStatus, RuntimeParams,
+    ServiceDescription,
 };
 use openwf_simnet::{HostId, SimDuration};
 

@@ -1,7 +1,7 @@
 //! Wall-clock to virtual-time mapping.
 //!
 //! The protocol core counts time in [`SimTime`] microseconds from an
-//! arbitrary origin. The simulated drivers advance that clock by
+//! arbitrary origin. The simulator advances that clock by
 //! discrete events; a socket driver lives on the machine's monotonic
 //! clock instead, so it anchors `SimTime::ZERO` at construction and
 //! reads elapsed wall time micro-for-micro. All servers of one process

@@ -7,13 +7,13 @@
 //! segmentation, genuine reader/writer threads. The cores cannot tell
 //! this transport from a distributed deployment, which is the point —
 //! it is the same reactor `owms-serve` runs, driven through the same
-//! [`Driver`] surface as [`openwf_runtime::SimDriver`] and
-//! [`openwf_runtime::LoopbackBytesDriver`], so any scenario written
-//! against the trait runs unchanged on real I/O.
+//! [`Driver`] surface as the simulator's [`openwf_runtime::Community`]
+//! (on either of its carriers), so any scenario written against the
+//! trait runs unchanged on real I/O.
 //!
 //! # Quiescence on a wall clock
 //!
-//! The simulated drivers know exactly when nothing remains. A socket
+//! The simulator knows exactly when nothing remains. A socket
 //! driver cannot: silence might be in-flight bytes. [`Driver::step`]
 //! therefore reports quiescence only after `idle_grace` of continuous
 //! silence **and** no core timer due within `timer_horizon`. The

@@ -2,8 +2,8 @@
 //!
 //! Everything below this crate is sans-io: the protocol cores
 //! ([`openwf_runtime::HostCore`]) return effect queues and never touch
-//! a socket, and the two simulated drivers replay them under virtual
-//! time. This crate is the third transport — **real TCP** — built from
+//! a socket, and the simulator replays them under virtual time with
+//! either carrier. This crate is the real transport — **TCP** — built from
 //! `std::net` only (the workspace builds offline; no async runtime, no
 //! poll library):
 //!

@@ -15,7 +15,7 @@ use std::time::{Duration, Instant};
 use openwf_core::{Fragment, Mode, Spec};
 use openwf_runtime::config::{parse_host_config, write_host_config};
 use openwf_runtime::{
-    Driver, HostConfig, HostCore, LoopbackBytesDriver, ProblemStatus, RuntimeParams,
+    CommunityBuilder, Driver, HostConfig, HostCore, ProblemStatus, RuntimeParams,
     ServiceDescription,
 };
 use openwf_simnet::SimDuration;
@@ -233,7 +233,10 @@ fn three_processes_construct_workflows_and_survive_churn() {
     }
 
     // ---- simulator reference: same configs, same params, two runs ----
-    let mut sim = LoopbackBytesDriver::build(fast_params(), parsed);
+    let mut sim = CommunityBuilder::new(0)
+        .params(fast_params())
+        .hosts(parsed)
+        .build_bytes();
     let mut expected_reports = Vec::new();
     for _ in 0..2 {
         let handle = sim.submit(sim.hosts()[0], Spec::new(["spt-a"], ["spt-d"]));

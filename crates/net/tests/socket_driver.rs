@@ -1,6 +1,6 @@
 //! The socket transport end-to-end, inside one test process: real TCP
 //! over `127.0.0.1`, kernel segmentation, reader/writer threads — and
-//! the same protocol outcomes the simulated drivers produce.
+//! the same protocol outcomes the simulator produces.
 
 use std::io::Write as _;
 use std::net::TcpStream;
@@ -11,7 +11,7 @@ use openwf_net::proto::{encode_envelope, encode_hello, Hello, NET_PROTO_VERSION}
 use openwf_net::{NetServer, ServerConfig, TcpCommunityDriver, WallClock};
 use openwf_obs::Obs;
 use openwf_runtime::{
-    Driver, HostConfig, HostCore, LoopbackBytesDriver, ProblemStatus, RuntimeParams,
+    CommunityBuilder, Driver, HostConfig, HostCore, ProblemStatus, RuntimeParams,
     ServiceDescription, WorkflowEvent,
 };
 use openwf_simnet::{HostId, SimDuration};
@@ -51,8 +51,8 @@ fn digest(core: &HostCore) -> Vec<Vec<u8>> {
 }
 
 /// Split knowledge and capability force cooperation over real sockets;
-/// the outcome — assignments and know-how — matches the loopback
-/// (virtual-time, encoded-frames) driver bit for bit, and the `net.*`
+/// the outcome — assignments and know-how — matches the simulator's
+/// frame carrier (virtual-time, encoded frames) bit for bit, and the `net.*`
 /// transport metrics account for the traffic.
 #[test]
 fn tcp_community_matches_loopback_outcome() {
@@ -75,7 +75,10 @@ fn tcp_community_matches_loopback_outcome() {
         "socket run: {report}"
     );
 
-    let mut loopback = LoopbackBytesDriver::build(fast_params(), configs());
+    let mut loopback = CommunityBuilder::new(0)
+        .params(fast_params())
+        .hosts(configs())
+        .build_bytes();
     let lb_handle = loopback.submit(loopback.hosts()[0], Spec::new(["tcp-a"], ["tcp-c"]));
     let lb_report = loopback.run_until_complete(lb_handle);
     assert!(matches!(lb_report.status, ProblemStatus::Completed));

@@ -6,7 +6,8 @@
 //!   fixed-bucket histograms, snapshot-able into the serde value tree.
 //! - [`TraceSink`] — causal workflow trace events keyed by
 //!   `(trace id, host)` with virtual-time timestamps, exportable as
-//!   JSONL or Chrome `trace_event` JSON ([`export`]).
+//!   JSONL or Chrome `trace_event` JSON ([`to_jsonl`],
+//!   [`to_chrome_trace`]).
 //!
 //! Both are *opt-in*: the [`Obs::disabled`] default hands out no-op
 //! handles whose record calls are a single branch, and enabling

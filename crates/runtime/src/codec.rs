@@ -545,7 +545,8 @@ pub fn frame_is_fragment_reply(buf: &[u8]) -> Result<bool, WireError> {
 /// The exact encoded size of a message in bytes (one full frame).
 ///
 /// Allocates a scratch buffer per call; the simulator's bandwidth model
-/// keeps its cheap arithmetic approximation ([`crate::Msg::wire_size`])
+/// keeps its cheap arithmetic approximation
+/// ([`Msg::wire_size`](openwf_simnet::Message::wire_size))
 /// on the hot path and uses this for calibration.
 pub fn encoded_len(msg: &Msg) -> usize {
     let mut buf = Vec::new();

@@ -1,26 +1,25 @@
 //! Community assembly and problem driving.
 //!
-//! A [`Community`] is a set of configured [`OwmsHost`]s on a simulated
-//! network — the §5 experimental setup ("configure the hosts, establish
-//! connectivity within the community") plus convenience drivers that
-//! submit problems and run the network until allocation or completion.
-//! It is a facade over [`SimDriver`], the simulator implementation of
-//! the transport-agnostic [`Driver`] API; the same scenarios run over
-//! encoded wire frames through
-//! [`crate::driver::LoopbackBytesDriver`].
+//! A [`Community`] is a set of configured [`OwmsHost`]s on the
+//! deterministic `openwf-simnet` kernel — the §5 experimental setup
+//! ("configure the hosts, establish connectivity within the community").
+//! It is the simulator implementation of the transport-agnostic
+//! [`Driver`] API, whose provided methods submit problems and run the
+//! network until allocation or completion. Its type parameter is the
+//! [`Carrier`] the kernel moves: typed [`Msg`]s
+//! ([`CommunityBuilder::build`]) or encoded [`WireFrame`]s
+//! ([`CommunityBuilder::build_bytes`]).
 
 use std::fmt;
 
 use openwf_core::Spec;
 use openwf_simnet::{HostId, LatencyModel, NetStats, SimNetwork, SimTime};
 
-use crate::core_sm::WorkflowEvent;
-use crate::driver::{Driver, SimDriver};
+use crate::core_sm::{HostCore, WorkflowEvent};
+use crate::driver::{Carrier, Driver, WireFrame};
 use crate::host::{HostConfig, OwmsHost};
-use crate::messages::Msg;
+use crate::messages::{Msg, ProblemId};
 use crate::params::RuntimeParams;
-use crate::report::ProblemReport;
-use crate::workflow_mgr::Phase;
 
 pub use crate::driver::ProblemHandle;
 
@@ -67,19 +66,43 @@ impl CommunityBuilder {
         self
     }
 
-    /// Assembles the community network.
+    /// Assembles the community on typed messages.
     ///
     /// # Panics
     ///
     /// Panics if no hosts were added.
     pub fn build(self) -> Community {
+        self.assemble()
+    }
+
+    /// Assembles the community on encoded wire frames: every message is
+    /// encoded by its sender and decoded through the receiver's
+    /// vocabulary budget.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no hosts were added.
+    pub fn build_bytes(self) -> Community<WireFrame> {
+        self.assemble()
+    }
+
+    fn assemble<C: Carrier>(self) -> Community<C> {
         assert!(
             !self.hosts.is_empty(),
             "a community needs at least one host"
         );
-        Community {
-            driver: SimDriver::build(self.seed, self.params, self.latency, self.hosts),
+        let mut net = SimNetwork::new(self.seed);
+        if let Some(model) = self.latency {
+            net.set_latency_boxed(model);
         }
+        let all: Vec<HostId> = (0..self.hosts.len() as u32).map(HostId).collect();
+        for config in self.hosts {
+            let mut host = OwmsHost::new(config, self.params.clone());
+            host.core_mut().set_community(all.clone());
+            host.core_mut().set_outbound_mode(C::OUTBOUND);
+            net.add_host(host);
+        }
+        Community { net, next_seq: 0 }
     }
 }
 
@@ -92,46 +115,32 @@ impl fmt::Debug for CommunityBuilder {
     }
 }
 
-/// A running community of open workflow hosts.
-pub struct Community {
-    driver: SimDriver,
+/// A running community of open workflow hosts on the simulator, moving
+/// carrier `C` between them.
+pub struct Community<C: Carrier = Msg> {
+    net: SimNetwork<C, OwmsHost>,
+    next_seq: u32,
 }
 
-impl Community {
-    /// All host ids.
-    pub fn hosts(&self) -> Vec<HostId> {
-        self.driver.hosts()
-    }
-
+impl<C: Carrier> Community<C> {
     /// Immutable access to a host.
     pub fn host(&self, id: HostId) -> &OwmsHost {
-        self.driver.host(id)
+        self.net.host(id)
     }
 
-    /// Mutable access to a host (e.g. to install service hooks).
+    /// Mutable access to a host (e.g. to restart it from its config).
     pub fn host_mut(&mut self, id: HostId) -> &mut OwmsHost {
-        self.driver.host_mut(id)
+        self.net.host_mut(id)
     }
 
-    /// The underlying network (topology, faults, latency, stats).
-    pub fn net_mut(&mut self) -> &mut SimNetwork<Msg, OwmsHost> {
-        self.driver.net_mut()
-    }
-
-    /// The underlying simulator driver (the [`Driver`]-trait view of
-    /// this community).
-    pub fn driver_mut(&mut self) -> &mut SimDriver {
-        &mut self.driver
-    }
-
-    /// Current virtual time.
-    pub fn now(&self) -> SimTime {
-        self.driver.now()
+    /// The underlying network (topology, faults, latency, metrics).
+    pub fn net_mut(&mut self) -> &mut SimNetwork<C, OwmsHost> {
+        &mut self.net
     }
 
     /// Network traffic counters.
     pub fn stats(&self) -> NetStats {
-        self.driver.stats()
+        self.net.stats()
     }
 
     /// Workflow events every host surfaced so far, tagged with the host
@@ -139,59 +148,49 @@ impl Community {
     /// invariant checks need (quarantines, completions, repairs). Hosts
     /// in id order; per-host events in firing order.
     pub fn all_events(&self) -> Vec<(HostId, WorkflowEvent)> {
-        self.hosts()
+        self.net
+            .hosts()
             .into_iter()
-            .flat_map(|h| {
-                self.host(h)
-                    .events()
-                    .iter()
-                    .cloned()
-                    .map(move |e| (h, e))
-                    .collect::<Vec<_>>()
-            })
+            .flat_map(|h| self.host(h).events().iter().map(move |e| (h, e.clone())))
             .collect()
-    }
-
-    /// Submits a problem specification to `initiator` (the Workflow
-    /// Initiator's job in §4.2). Returns a handle for driving/reporting.
-    pub fn submit(&mut self, initiator: HostId, spec: Spec) -> ProblemHandle {
-        self.driver.submit(initiator, spec)
-    }
-
-    /// The latest-attempt report for a problem, if any.
-    pub fn report(&self, handle: ProblemHandle) -> Option<ProblemReport> {
-        self.driver.report(handle)
-    }
-
-    /// The latest-attempt phase for a problem.
-    pub fn phase(&self, handle: ProblemHandle) -> Option<Phase> {
-        self.driver.phase(handle)
-    }
-
-    /// Runs until the problem's tasks are all allocated (the paper's
-    /// measurement endpoint) or the problem fails; returns the report.
-    pub fn run_until_allocated(&mut self, handle: ProblemHandle) -> ProblemReport {
-        self.driver.run_until_allocated(handle)
-    }
-
-    /// Runs until the problem completes (all goals delivered) or fails;
-    /// returns the report.
-    pub fn run_until_complete(&mut self, handle: ProblemHandle) -> ProblemReport {
-        self.driver.run_until_complete(handle)
-    }
-
-    /// Runs the network to quiescence (drains watchdogs and hold-expiry
-    /// timers too).
-    pub fn run_to_quiescence(&mut self) -> SimTime {
-        self.driver.run_until_quiescent()
     }
 }
 
-impl fmt::Debug for Community {
+impl<C: Carrier> Driver for Community<C> {
+    fn hosts(&self) -> Vec<HostId> {
+        self.net.hosts()
+    }
+
+    fn core(&self, id: HostId) -> &HostCore {
+        self.net.host(id).core()
+    }
+
+    fn core_mut(&mut self, id: HostId) -> &mut HostCore {
+        self.net.host_mut(id).core_mut()
+    }
+
+    fn now(&self) -> SimTime {
+        self.net.now()
+    }
+
+    fn submit(&mut self, initiator: HostId, spec: Spec) -> ProblemHandle {
+        let id = ProblemId::new(initiator, self.next_seq);
+        self.next_seq += 1;
+        let msg = C::from_msg(Msg::Initiate { problem: id, spec });
+        self.net.send_external(initiator, initiator, msg);
+        ProblemHandle { id }
+    }
+
+    fn step(&mut self) -> bool {
+        self.net.step()
+    }
+}
+
+impl<C: Carrier> fmt::Debug for Community<C> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Community")
-            .field("hosts", &self.hosts().len())
-            .field("now", &self.now())
+            .field("hosts", &self.net.len())
+            .field("now", &self.net.now())
             .finish()
     }
 }

@@ -20,8 +20,9 @@
 //! ([`Action::SetTimer`]), observability events
 //! ([`Action::Event`]) — plus the modeled compute time the call
 //! charged. A *driver* (see [`crate::driver`]) owns the transport: the
-//! deterministic simulator, an in-process bytes loopback, or any future
-//! async executor can drive the identical protocol logic.
+//! deterministic simulator (moving typed messages or encoded frames),
+//! real sockets, or any future async executor can drive the identical
+//! protocol logic.
 
 use std::collections::{HashMap, HashSet};
 use std::fmt;
@@ -31,7 +32,7 @@ use std::sync::Arc;
 use openwf_core::{Fragment, Label, TaskId};
 use openwf_mobility::{Motion, Point, SiteMap};
 use openwf_obs::{Counter, Histogram, Obs, SpanPhase, TraceEvent};
-use openwf_simnet::{HostId, Message, SimDuration, SimTime, TimerToken};
+use openwf_simnet::{HostId, SimDuration, SimTime, TimerToken};
 use openwf_wire::{DecodeScratch, VocabularyBudget, WireError};
 
 use crate::auction::{AuctionAction, ProblemAuctions};
@@ -1070,7 +1071,7 @@ impl HostCore {
             self.trace(
                 now,
                 msg.problem(),
-                msg.kind().as_str(),
+                msg.kind(),
                 SpanPhase::Instant,
                 0,
                 format!("from host{}", from.0),

@@ -4,24 +4,19 @@
 //! The protocol core performs no I/O — every poll call returns an
 //! [`crate::core_sm::ActionQueue`] of typed effects. A [`Driver`] is the
 //! half that *performs* them: it schedules message deliveries, arms
-//! timers, advances a clock, and feeds inputs back into the cores. Two
-//! drivers ship:
+//! timers, advances a clock, and feeds inputs back into the cores.
 //!
-//! * [`SimDriver`] — the deterministic discrete-event simulator
-//!   (`openwf-simnet`): typed [`crate::Msg`]s with `Arc<Fragment>`
-//!   payloads shared in-process, pluggable latency/topology/faults.
-//!   [`crate::Community`] is a facade over this driver.
-//! * [`LoopbackBytesDriver`] — whole communities over **encoded wire
-//!   frames**: every message crosses host boundaries as
-//!   `openwf-wire` bytes (encode on send, vocabulary-budgeted decode on
-//!   receive), proving the binary codec carries the complete protocol
-//!   end-to-end. Same clock discipline as the simulator, so identical
-//!   scenarios produce bit-identical supergraphs and outcomes.
+//! In this crate the one driver is [`crate::Community`]: the
+//! deterministic `openwf-simnet` kernel with a pluggable
+//! latency/topology/fault model, moving one of two [`Carrier`]s — typed
+//! [`crate::Msg`]s or encoded [`WireFrame`]s — chosen by the
+//! community's type. `openwf-net`'s `TcpCommunityDriver` runs the same
+//! cores over real sockets.
 //!
-//! Any future transport (an async executor, a real socket loop) drives
-//! the same cores the same way: deliver bytes through
-//! [`HostCore::handle_frame`], fire timers via [`HostCore::handle_timer`]
-//! or poll [`HostCore::tick`], and perform the returned actions.
+//! Any other transport drives the same cores the same way: deliver
+//! bytes through [`HostCore::handle_frame`], fire timers via
+//! [`HostCore::handle_timer`] or poll [`HostCore::tick`], and perform
+//! the returned actions.
 
 use openwf_core::Spec;
 use openwf_simnet::{HostId, SimTime};
@@ -31,11 +26,9 @@ use crate::messages::ProblemId;
 use crate::report::ProblemReport;
 use crate::workflow_mgr::Phase;
 
-mod loopback;
-mod sim;
+mod carrier;
 
-pub use loopback::{LoopbackBytesDriver, LoopbackStats, WireChaos};
-pub use sim::SimDriver;
+pub use carrier::{Carrier, WireFrame};
 
 /// Handle to a submitted problem.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

@@ -3,20 +3,19 @@
 //!
 //! [`OwmsHost`] is a **thin transport adapter**: all protocol logic lives
 //! in the sans-io [`HostCore`] state machine (see [`crate::core_sm`]).
-//! This type merely implements [`Actor`] by forwarding each delivered
-//! message/timer into the core and replaying the returned
-//! [`ActionQueue`] onto the simulator's [`Context`] — sends become
-//! `ctx.send`, timers become `ctx.set_timer`, compute charges become
-//! `ctx.charge`, and [`WorkflowEvent`]s are collected for inspection.
-//! The same core drives identically over encoded wire frames through
-//! [`crate::driver::LoopbackBytesDriver`].
+//! This type merely implements [`Actor`] for every [`Carrier`] by
+//! handing each delivered message/timer to the core and replaying the
+//! returned [`ActionQueue`] onto the simulator's [`Context`] — sends
+//! become `ctx.send` in the carrier's form, timers become
+//! `ctx.set_timer`, compute charges become `ctx.charge`, and
+//! [`WorkflowEvent`]s are collected for inspection.
 
 use std::fmt;
 
 use openwf_simnet::{Actor, Context, HostId, TimerToken};
 
 use crate::core_sm::{Action, ActionQueue, HostCore, WorkflowEvent};
-use crate::messages::{Msg, ProblemId};
+use crate::driver::Carrier;
 use crate::params::RuntimeParams;
 
 pub use crate::core_sm::{HostConfig, StorageConfig};
@@ -58,98 +57,35 @@ impl OwmsHost {
         &self.events
     }
 
-    /// Number of peer fragment replies rejected at the vocabulary trust
-    /// boundary (see [`HostConfig::max_interned_names`]).
-    pub fn vocabulary_rejections(&self) -> u64 {
-        self.core.vocabulary_rejections()
-    }
-
-    /// Vocabulary rejections attributed to one peer (what
-    /// [`HostConfig::max_vocabulary_rejections`] acts on).
-    pub fn vocabulary_rejections_from(&self, peer: HostId) -> u64 {
-        self.core.vocabulary_rejections_from(peer)
-    }
-
-    /// Distinct names recorded in the vocabulary budget (own knowhow —
-    /// including knowhow replayed from a durable log — plus admitted
-    /// peer names). Always 0 for uncapped hosts, which track nothing.
-    pub fn vocabulary_names(&self) -> usize {
-        self.core.vocabulary_names()
-    }
-
-    /// Sets the community membership (all host ids, including this one).
-    /// Called by the community builder before the network starts.
-    pub fn set_community(&mut self, community: Vec<HostId>) {
-        self.core.set_community(community);
-    }
-
-    /// The workflow manager (workspaces/reports), for inspection.
-    pub fn workflow_mgr(&self) -> &crate::workflow_mgr::WorkflowManager {
-        self.core.workflow_mgr()
-    }
-
-    /// The fragment manager, for inspection and late configuration.
-    pub fn fragment_mgr_mut(&mut self) -> &mut crate::fragment_mgr::FragmentManager {
-        self.core.fragment_mgr_mut()
-    }
-
-    /// The service manager, for inspection, hooks and late configuration.
-    pub fn service_mgr_mut(&mut self) -> &mut crate::service::ServiceManager {
-        self.core.service_mgr_mut()
-    }
-
-    /// The service manager (read-only).
-    pub fn service_mgr(&self) -> &crate::service::ServiceManager {
-        self.core.service_mgr()
-    }
-
-    /// The schedule manager (commitments), for inspection.
-    pub fn schedule(&self) -> &crate::schedule::ScheduleManager {
-        self.core.schedule()
-    }
-
-    /// The workspace of the **latest attempt** of the problem `base`
-    /// belongs to, if any.
-    pub fn latest_attempt(&self, base: ProblemId) -> Option<&crate::workflow_mgr::Workspace> {
-        self.core.latest_attempt(base)
-    }
-
-    /// Replays a core action queue onto the simulator context.
-    fn apply(&mut self, queue: ActionQueue, ctx: &mut Context<'_, Msg>) {
+    /// Replays a core action queue onto the simulator context. A send
+    /// in the other form than the carrier's (a core whose
+    /// [`crate::OutboundMode`] was switched by hand) is converted by the
+    /// carrier rather than lost.
+    fn apply<C: Carrier>(&mut self, queue: ActionQueue, ctx: &mut Context<'_, C>) {
         ctx.charge(queue.charged());
         for action in queue {
             match action {
-                Action::Send { to, msg } => ctx.send(to, msg),
-                Action::SetTimer { delay, token } => ctx.set_timer(delay, token),
-                Action::Event(event) => self.events.push(event),
+                Action::Send { to, msg } => ctx.send(to, C::from_msg(msg)),
                 Action::SendBytes { to, bytes } => {
-                    // The simulated network carries typed `Msg`s. A core
-                    // someone switched to `OutboundMode::Encoded` still
-                    // works here: carry its frame back to a typed
-                    // message (our own core encoded it, so decoding
-                    // cannot mint foreign names — no budget involved; a
-                    // malformed frame is impossible from our encoder and
-                    // is dropped like transport loss if it happens).
-                    if let Ok((msg, _)) = crate::codec::decode_msg(
-                        &bytes,
-                        &mut openwf_wire::VocabularyBudget::unlimited(),
-                    ) {
+                    if let Some(msg) = C::from_frame(bytes) {
                         ctx.send(to, msg);
                     }
                 }
+                Action::SetTimer { delay, token } => ctx.set_timer(delay, token),
+                Action::Event(event) => self.events.push(event),
             }
         }
     }
 }
 
-impl Actor<Msg> for OwmsHost {
-    fn on_message(&mut self, from: HostId, msg: Msg, ctx: &mut Context<'_, Msg>) {
+impl<C: Carrier> Actor<C> for OwmsHost {
+    fn on_message(&mut self, from: HostId, msg: C, ctx: &mut Context<'_, C>) {
         self.core.bind(ctx.self_id());
-        let queue = self.core.handle_msg(from, msg, ctx.now());
+        let queue = msg.deliver(&mut self.core, from, ctx.now());
         self.apply(queue, ctx);
     }
 
-    fn on_timer(&mut self, token: TimerToken, ctx: &mut Context<'_, Msg>) {
+    fn on_timer(&mut self, token: TimerToken, ctx: &mut Context<'_, C>) {
         self.core.bind(ctx.self_id());
         let queue = self.core.handle_timer(token, ctx.now());
         self.apply(queue, ctx);
@@ -171,6 +107,7 @@ mod tests {
     use openwf_core::{Fragment, Mode, Spec, TaskId};
     use openwf_simnet::SimDuration;
 
+    use crate::messages::{Msg, ProblemId};
     use crate::service::ServiceDescription;
     use crate::workflow_mgr::Phase;
 
@@ -194,7 +131,7 @@ mod tests {
             .with_service(service("t1"))
             .with_service(service("t2"));
         let mut host = OwmsHost::new(cfg, RuntimeParams::default());
-        host.set_community(vec![HostId(0)]);
+        host.core_mut().set_community(vec![HostId(0)]);
         let h = net.add_host(host);
         let problem = ProblemId::new(h, 0);
         net.send_external(
@@ -207,13 +144,18 @@ mod tests {
         );
         net.run_until_quiescent();
 
-        let ws = net.host(h).workflow_mgr().get(&problem).expect("workspace");
+        let ws = net
+            .host(h)
+            .core()
+            .workflow_mgr()
+            .get(&problem)
+            .expect("workspace");
         assert_eq!(ws.phase, Phase::Completed, "report: {}", ws.report);
         assert_eq!(ws.report.assignments.len(), 2);
         assert!(ws.report.timings.spec_to_allocated().is_some());
         assert!(ws.report.timings.total().is_some());
         // Services actually ran, in dependency order.
-        let inv = net.host(h).service_mgr().invocations();
+        let inv = net.host(h).core().service_mgr().invocations();
         assert_eq!(inv.len(), 2);
         assert_eq!(inv[0].task, TaskId::new("t1"));
         assert_eq!(inv[1].task, TaskId::new("t2"));
@@ -242,7 +184,7 @@ mod tests {
             .with_fragment(frag("em-f1", "em-t1", "em-a", "em-b"))
             .with_service(service("em-t1"));
         let mut host = OwmsHost::new(cfg, RuntimeParams::default());
-        host.set_community(vec![HostId(0)]);
+        host.core_mut().set_community(vec![HostId(0)]);
         host.core_mut().set_outbound_mode(OutboundMode::Encoded);
         let h = net.add_host(host);
         let problem = ProblemId::new(h, 0);
@@ -255,7 +197,12 @@ mod tests {
             },
         );
         net.run_until_quiescent();
-        let ws = net.host(h).workflow_mgr().get(&problem).expect("workspace");
+        let ws = net
+            .host(h)
+            .core()
+            .workflow_mgr()
+            .get(&problem)
+            .expect("workspace");
         assert_eq!(ws.phase, Phase::Completed, "report: {}", ws.report);
     }
 
@@ -265,7 +212,7 @@ mod tests {
         use openwf_simnet::SimNetwork;
         let mut net: SimNetwork<Msg, OwmsHost> = SimNetwork::new(1);
         let mut host = OwmsHost::new(HostConfig::new(), RuntimeParams::default());
-        host.set_community(vec![HostId(0)]);
+        host.core_mut().set_community(vec![HostId(0)]);
         let h = net.add_host(host);
         let problem = ProblemId::new(h, 0);
         net.send_external(
@@ -277,7 +224,7 @@ mod tests {
             },
         );
         net.run_until_quiescent();
-        let ws = net.host(h).workflow_mgr().get(&problem).unwrap();
+        let ws = net.host(h).core().workflow_mgr().get(&problem).unwrap();
         assert_eq!(ws.phase, Phase::Completed);
         assert!(ws.report.assignments.is_empty());
     }
@@ -289,7 +236,7 @@ mod tests {
         let mut net: SimNetwork<Msg, OwmsHost> = SimNetwork::new(1);
         let cfg = HostConfig::new().with_fragment(frag("f1", "t1", "a", "b"));
         let mut host = OwmsHost::new(cfg, RuntimeParams::default());
-        host.set_community(vec![HostId(0)]);
+        host.core_mut().set_community(vec![HostId(0)]);
         let h = net.add_host(host);
         let problem = ProblemId::new(h, 0);
         net.send_external(
@@ -301,7 +248,7 @@ mod tests {
             },
         );
         net.run_until_quiescent();
-        let ws = net.host(h).workflow_mgr().get(&problem).unwrap();
+        let ws = net.host(h).core().workflow_mgr().get(&problem).unwrap();
         assert_eq!(ws.phase, Phase::Failed);
         assert!(matches!(
             ws.report.status,
@@ -324,7 +271,7 @@ mod tests {
         let cfg = HostConfig::new().with_fragment(frag("f1", "t1", "a", "b"));
         // No service for t1.
         let mut host = OwmsHost::new(cfg, RuntimeParams::default());
-        host.set_community(vec![HostId(0)]);
+        host.core_mut().set_community(vec![HostId(0)]);
         let h = net.add_host(host);
         let problem = ProblemId::new(h, 0);
         net.send_external(
@@ -336,7 +283,7 @@ mod tests {
             },
         );
         net.run_until_quiescent();
-        let ws = net.host(h).workflow_mgr().get(&problem).unwrap();
+        let ws = net.host(h).core().workflow_mgr().get(&problem).unwrap();
         assert_eq!(ws.phase, Phase::Failed);
     }
 }

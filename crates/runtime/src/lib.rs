@@ -3,9 +3,9 @@
 //! This crate is the distributed runtime of WUCSE-2009-14 §4: every
 //! participant's device runs a sans-io [`HostCore`] state machine
 //! combining the paper's two subsystems. The core performs no I/O — a
-//! [`Driver`] transport polls it ([`SimDriver`] on the deterministic
-//! simulator, where [`OwmsHost`] is the thin `simnet` actor adapter, or
-//! [`LoopbackBytesDriver`] over encoded wire frames):
+//! [`Driver`] transport polls it ([`Community`] on the deterministic
+//! simulator, where [`OwmsHost`] is the thin `simnet` actor adapter and
+//! the [`Carrier`] is typed [`Msg`]s or encoded [`WireFrame`]s):
 //!
 //! **Construction subsystem** (active on the initiating host):
 //! * [`WorkflowManager`](workflow_mgr::WorkflowManager) — one isolated
@@ -29,9 +29,10 @@
 //!   time conditions, travels, invokes services, and publishes outputs to
 //!   dependent hosts.
 //!
-//! [`community::Community`] assembles hosts on a simulated
-//! network and drives end-to-end problems; it is the entry point used by
-//! the examples, the integration tests, and every §5 experiment.
+//! [`Community`] assembles hosts on a simulated network and drives
+//! end-to-end problems through the [`Driver`] methods; it is the entry
+//! point used by the examples, the integration tests, and every §5
+//! experiment.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -60,7 +61,7 @@ pub mod workflow_mgr;
 pub use codec::{decode_msg, decode_msg_traced_with, encode_msg, encode_msg_traced};
 pub use community::{Community, CommunityBuilder, ProblemHandle};
 pub use core_sm::{Action, ActionQueue, HostCore, OutboundMode, WorkflowEvent};
-pub use driver::{Driver, LoopbackBytesDriver, SimDriver, WireChaos};
+pub use driver::{Carrier, Driver, WireFrame};
 pub use host::{HostConfig, OwmsHost, StorageConfig};
 pub use messages::{Msg, ProblemId};
 pub use metadata::{Assignment, TaskMetadata};

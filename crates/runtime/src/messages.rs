@@ -225,6 +225,27 @@ impl Msg {
         }
     }
 
+    /// The variant's name — `"CallForBids"`, `"Bid"` — which names the
+    /// core's per-message trace instant. Static, so tracing never
+    /// formats the message body.
+    pub fn kind(&self) -> &'static str {
+        match self {
+            Msg::Initiate { .. } => "Initiate",
+            Msg::FragmentQuery { .. } => "FragmentQuery",
+            Msg::FragmentReply { .. } => "FragmentReply",
+            Msg::CapabilityQuery { .. } => "CapabilityQuery",
+            Msg::CapabilityReply { .. } => "CapabilityReply",
+            Msg::CallForBids { .. } => "CallForBids",
+            Msg::Bid { .. } => "Bid",
+            Msg::Decline { .. } => "Decline",
+            Msg::Award { .. } => "Award",
+            Msg::Execute { .. } => "Execute",
+            Msg::InputDelivery { .. } => "InputDelivery",
+            Msg::TaskCompleted { .. } => "TaskCompleted",
+            Msg::GoalDelivered { .. } => "GoalDelivered",
+        }
+    }
+
     /// Shorthand for `self.problem().trace_id()`.
     pub fn trace_id(&self) -> u64 {
         self.problem().trace_id()
@@ -262,24 +283,6 @@ impl Message for Msg {
             Msg::GoalDelivered { .. } => 40,
         }
     }
-
-    fn kind(&self) -> openwf_simnet::MsgKind {
-        openwf_simnet::MsgKind(match self {
-            Msg::Initiate { .. } => "Initiate",
-            Msg::FragmentQuery { .. } => "FragmentQuery",
-            Msg::FragmentReply { .. } => "FragmentReply",
-            Msg::CapabilityQuery { .. } => "CapabilityQuery",
-            Msg::CapabilityReply { .. } => "CapabilityReply",
-            Msg::CallForBids { .. } => "CallForBids",
-            Msg::Bid { .. } => "Bid",
-            Msg::Decline { .. } => "Decline",
-            Msg::Award { .. } => "Award",
-            Msg::Execute { .. } => "Execute",
-            Msg::InputDelivery { .. } => "InputDelivery",
-            Msg::TaskCompleted { .. } => "TaskCompleted",
-            Msg::GoalDelivered { .. } => "GoalDelivered",
-        })
-    }
 }
 
 #[cfg(test)]
@@ -315,7 +318,7 @@ mod tests {
         };
         assert_eq!(m.problem(), p);
         assert_eq!(m.trace_id(), p.trace_id());
-        assert_eq!(m.kind().as_str(), "TaskCompleted");
+        assert_eq!(m.kind(), "TaskCompleted");
     }
 
     #[test]

@@ -1,11 +1,11 @@
-//! Transport equivalence: the same scenario driven through the typed
-//! simulator ([`SimDriver`] via [`Community`]) and through encoded wire
-//! frames ([`LoopbackBytesDriver`]) produces **bit-identical
+//! Carrier equivalence: the same scenario driven on the simulator with
+//! typed messages ([`CommunityBuilder::build`]) and with encoded wire
+//! frames ([`CommunityBuilder::build_bytes`]) produces **bit-identical
 //! supergraphs and workflow outcomes**.
 //!
 //! This is the load-bearing guarantee of the sans-io split: the
-//! protocol state machine cannot tell which transport is driving it.
-//! Both drivers share the clock discipline (constant 200µs latency,
+//! protocol state machine cannot tell which carrier is moving its
+//! messages. Both run on the one kernel (constant 200µs latency,
 //! compute charges defer the busy host, `(time, seq)` event order), so
 //! every core sees the identical input sequence — down to virtual-time
 //! phase timings — whether fragments travel as shared `Arc`s or as
@@ -15,9 +15,7 @@ use std::fmt::Write as _;
 
 use openwf_core::{Fragment, Mode, Spec};
 use openwf_runtime::workflow_mgr::Workspace;
-use openwf_runtime::{
-    CommunityBuilder, Driver, HostConfig, LoopbackBytesDriver, RuntimeParams, ServiceDescription,
-};
+use openwf_runtime::{CommunityBuilder, Driver, HostConfig, RuntimeParams, ServiceDescription};
 use openwf_simnet::SimDuration;
 use proptest::prelude::*;
 
@@ -40,7 +38,7 @@ struct Scenario {
 
 impl Scenario {
     /// Builds fresh host configurations (configs are consumed by a
-    /// driver, so each transport gets its own identical copy).
+    /// community, so each carrier gets its own identical copy).
     fn configs(&self) -> Vec<HostConfig> {
         let mut cfgs: Vec<HostConfig> = (0..self.n_hosts).map(|_| HostConfig::new()).collect();
         for i in 0..self.chain {
@@ -104,7 +102,7 @@ fn digest(ws: &Workspace) -> String {
 fn run_both(scenario: &Scenario) -> (String, String) {
     let params = RuntimeParams::default();
 
-    // Typed transport: the simulator behind the Community facade.
+    // Typed carrier.
     let mut sim = CommunityBuilder::new(scenario.seed)
         .params(params.clone())
         .hosts(scenario.configs())
@@ -112,15 +110,18 @@ fn run_both(scenario: &Scenario) -> (String, String) {
     let initiator = sim.hosts()[0];
     let handle = sim.submit(initiator, scenario.spec());
     sim.run_until_complete(handle);
-    sim.run_to_quiescence();
+    sim.run_until_quiescent();
     let sim_digest = digest(
-        sim.host(initiator)
+        sim.core(initiator)
             .latest_attempt(handle.id)
             .expect("sim workspace"),
     );
 
-    // Bytes transport: the same configs over encoded frames.
-    let mut loopback = LoopbackBytesDriver::build(params, scenario.configs());
+    // Frame carrier: the same configs over encoded frames.
+    let mut loopback = CommunityBuilder::new(scenario.seed)
+        .params(params)
+        .hosts(scenario.configs())
+        .build_bytes();
     let lb_initiator = loopback.hosts()[0];
     assert_eq!(lb_initiator, initiator);
     let lb_handle = loopback.submit(lb_initiator, scenario.spec());
@@ -140,7 +141,7 @@ fn run_both(scenario: &Scenario) -> (String, String) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Same scenario, both transports: bit-identical supergraphs and
+    /// Same scenario, both carriers: bit-identical supergraphs and
     /// outcomes for every seed, host count, chain length and noise
     /// shape.
     #[test]
@@ -154,14 +155,14 @@ proptest! {
         let (sim, loopback) = run_both(&scenario);
         prop_assert_eq!(
             &sim, &loopback,
-            "transports diverged for {:?}", scenario
+            "carriers diverged for {:?}", scenario
         );
         prop_assert!(sim.contains("phase Completed"), "scenario solvable by construction: {sim}");
     }
 }
 
 /// Vocabulary-capped hosts whose budget *suffices* behave identically
-/// on both transports: the typed path charges replies through
+/// on both carriers: the typed path charges replies through
 /// `reply_through_wire`, the frame path charges them at decode, and
 /// only the fragment-reply family touches the budget either way —
 /// ordinary protocol traffic (queries, bids, plans) never trips a cap.
@@ -204,11 +205,14 @@ fn capped_within_budget_agrees_across_transports() {
     let h = sim.hosts()[0];
     let handle = sim.submit(h, spec());
     sim.run_until_complete(handle);
-    sim.run_to_quiescence();
-    let sim_digest = digest(sim.host(h).latest_attempt(handle.id).unwrap());
-    let sim_names = sim.host(h).vocabulary_names();
+    sim.run_until_quiescent();
+    let sim_digest = digest(sim.core(h).latest_attempt(handle.id).unwrap());
+    let sim_names = sim.core(h).vocabulary_names();
 
-    let mut lb = LoopbackBytesDriver::build(params, mk());
+    let mut lb = CommunityBuilder::new(5)
+        .params(params)
+        .hosts(mk())
+        .build_bytes();
     let lb_handle = lb.submit(h, spec());
     lb.run_until_complete(lb_handle);
     lb.run_until_quiescent();

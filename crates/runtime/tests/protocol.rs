@@ -4,7 +4,8 @@
 
 use openwf_core::{Fragment, Mode, Spec, TaskId};
 use openwf_runtime::{
-    Community, CommunityBuilder, HostConfig, ProblemStatus, RuntimeParams, ServiceDescription,
+    Community, CommunityBuilder, Driver, HostConfig, ProblemStatus, RuntimeParams,
+    ServiceDescription,
 };
 use openwf_simnet::{SimDuration, UniformLatency};
 
@@ -101,14 +102,14 @@ fn losing_bidders_release_holds() {
     assert!(matches!(report.status, ProblemStatus::Completed));
     assert_eq!(report.assignments[0].1, hosts[1]);
     // Drain hold-expiry timers, then check schedules.
-    community.run_to_quiescence();
+    community.run_until_quiescent();
     assert_eq!(
-        community.host(hosts[1]).schedule().commitment_count(),
+        community.core(hosts[1]).schedule().commitment_count(),
         1,
         "winner keeps its commitment"
     );
     assert_eq!(
-        community.host(hosts[2]).schedule().commitment_count(),
+        community.core(hosts[2]).schedule().commitment_count(),
         0,
         "loser's hold must expire"
     );
@@ -225,11 +226,11 @@ fn vocabulary_cap_rejects_name_minting_peers() {
         other => panic!("expected failure under the vocabulary cap, got {other}"),
     }
     assert!(
-        capped.host(hosts[0]).vocabulary_rejections() > 0,
+        capped.core(hosts[0]).vocabulary_rejections() > 0,
         "the dropped reply must be recorded as a protocol error"
     );
     assert_eq!(
-        capped.host(hosts[1]).vocabulary_rejections(),
+        capped.core(hosts[1]).vocabulary_rejections(),
         0,
         "only the capped host rejects"
     );

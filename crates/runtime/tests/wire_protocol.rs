@@ -10,7 +10,8 @@ use openwf_core::{Fragment, Label, Mode, Spec};
 use openwf_runtime::codec::{decode_msg, encode_msg, reply_through_wire};
 use openwf_runtime::vocab::VocabularyGuard;
 use openwf_runtime::{
-    CommunityBuilder, HostConfig, Msg, ProblemId, ProblemStatus, ServiceDescription, StorageConfig,
+    CommunityBuilder, Driver, HostConfig, Msg, ProblemId, ProblemStatus, ServiceDescription,
+    StorageConfig,
 };
 use openwf_simnet::{HostId, SimDuration};
 use openwf_wire::VocabularyBudget;
@@ -146,7 +147,7 @@ fn per_peer_rejection_counters_identify_the_minting_peer() {
         matches!(report.status, ProblemStatus::Failed { .. }),
         "{report}"
     );
-    let initiator = community.host(hosts[0]);
+    let initiator = community.core(hosts[0]);
     assert!(initiator.vocabulary_rejections() > 0);
     assert_eq!(
         initiator.vocabulary_rejections(),
@@ -181,7 +182,7 @@ fn capped_in_budget_community_completes_through_the_wire() {
         matches!(report.status, ProblemStatus::Completed),
         "{report}"
     );
-    assert_eq!(community.host(hosts[0]).vocabulary_rejections(), 0);
+    assert_eq!(community.core(hosts[0]).vocabulary_rejections(), 0);
 }
 
 /// A durable-storage host works end to end, and a "restarted" host
@@ -213,7 +214,7 @@ fn durable_host_completes_and_survives_restart() {
             matches!(report.status, ProblemStatus::Completed),
             "{report}"
         );
-        assert_eq!(community.host(h).vocabulary_rejections(), 0);
+        assert_eq!(community.core(h).vocabulary_rejections(), 0);
     }
     // Restart: a fresh host over the same log replays both fragments and
     // completes the same problem with NO fragments supplied in config.
@@ -255,7 +256,11 @@ fn capped_durable_restart_reseeds_budget_and_keeps_log_flat() {
             .with_storage(storage.clone())
     };
     let host = OwmsHost::new(config(), RuntimeParams::default());
-    assert_eq!(host.vocabulary_names(), 4, "id + task + two labels seeded");
+    assert_eq!(
+        host.core().vocabulary_names(),
+        4,
+        "id + task + two labels seeded"
+    );
     drop(host);
     let log_size = |dir: &std::path::Path| -> u64 {
         std::fs::read_dir(dir)
@@ -269,7 +274,7 @@ fn capped_durable_restart_reseeds_budget_and_keeps_log_flat() {
     // budget must still see all 4 own names, and the log must not grow.
     let host = OwmsHost::new(config(), RuntimeParams::default());
     assert_eq!(
-        host.vocabulary_names(),
+        host.core().vocabulary_names(),
         4,
         "replayed knowhow re-seeds the budget"
     );
@@ -286,7 +291,7 @@ fn capped_durable_restart_reseeds_budget_and_keeps_log_flat() {
         .with_vocabulary_cap(8)
         .with_storage(storage.clone());
     let host = OwmsHost::new(bare, RuntimeParams::default());
-    assert_eq!(host.vocabulary_names(), 4);
+    assert_eq!(host.core().vocabulary_names(), 4);
     drop(host);
     let _ = std::fs::remove_dir_all(&dir);
 }

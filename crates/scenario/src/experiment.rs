@@ -10,7 +10,7 @@
 
 use std::fmt;
 
-use openwf_runtime::{Community, CommunityBuilder, RuntimeParams};
+use openwf_runtime::{Community, CommunityBuilder, Driver, RuntimeParams};
 use openwf_simnet::{ConstantLatency, SimDuration, Wireless80211g};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};

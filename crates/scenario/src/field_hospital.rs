@@ -160,7 +160,7 @@ impl FieldHospitalScenario {
 mod tests {
     use super::*;
     use openwf_core::{Constructor, Supergraph, TaskId};
-    use openwf_runtime::{CommunityBuilder, ProblemStatus};
+    use openwf_runtime::{CommunityBuilder, Driver, ProblemStatus};
 
     fn knowledge(s: &FieldHospitalScenario) -> (Supergraph, Vec<TaskId>) {
         let mut sg = Supergraph::new();
@@ -233,7 +233,7 @@ mod tests {
         let radiologist = community.hosts()[1];
         assert_eq!(
             community
-                .host(radiologist)
+                .core(radiologist)
                 .service_mgr()
                 .invocations()
                 .len(),

@@ -37,7 +37,8 @@ use std::path::PathBuf;
 use openwf_core::{Fragment, Label, Mode};
 use openwf_obs::Obs;
 use openwf_runtime::{
-    CommunityBuilder, HostConfig, OwmsHost, ProblemHandle, RuntimeParams, WorkflowEvent,
+    CommunityBuilder, Driver, HostConfig, HostCore, OwmsHost, ProblemHandle, RuntimeParams,
+    WorkflowEvent,
 };
 use openwf_simnet::{ChaosAction, ChaosSchedule, HostId, SimDuration, SimTime};
 use rand::rngs::StdRng;
@@ -384,9 +385,8 @@ pub fn chaos_schedule(config: &SoakConfig) -> ChaosSchedule {
 
 /// Sorted wire encodings of every fragment a host knows — the
 /// bit-identity witness for durable restarts.
-fn knowhow_digest(host: &OwmsHost) -> Vec<Vec<u8>> {
-    let mut digest: Vec<Vec<u8>> = host
-        .core()
+fn knowhow_digest(core: &HostCore) -> Vec<Vec<u8>> {
+    let mut digest: Vec<Vec<u8>> = core
         .fragment_mgr()
         .fragments()
         .map(|f| {
@@ -564,7 +564,7 @@ pub fn run_soak_observed(config: &SoakConfig, obs: &Obs) -> SoakOutcome {
     for d in 0..config.districts {
         let ids = config.district_ids(d);
         for &h in &ids {
-            community.host_mut(h).set_community(ids.clone());
+            community.core_mut(h).set_community(ids.clone());
         }
     }
     community.net_mut().set_chaos(chaos_schedule(config));
@@ -586,7 +586,7 @@ pub fn run_soak_observed(config: &SoakConfig, obs: &Obs) -> SoakOutcome {
                 .advance_to(SimTime::ZERO + SimDuration::from_millis(1_500));
             let before: Vec<Vec<Vec<u8>>> = durable
                 .iter()
-                .map(|(id, _)| knowhow_digest(community.host(*id)))
+                .map(|(id, _)| knowhow_digest(community.core(*id)))
                 .collect();
             community
                 .net_mut()
@@ -594,9 +594,9 @@ pub fn run_soak_observed(config: &SoakConfig, obs: &Obs) -> SoakOutcome {
             for (d, (id, cfg)) in durable.iter().enumerate() {
                 *community.host_mut(*id) = OwmsHost::new(cfg.clone(), soak_params());
                 let ids = config.district_ids(d);
-                community.host_mut(*id).set_community(ids.clone());
+                community.core_mut(*id).set_community(ids.clone());
                 restarts += 1;
-                if knowhow_digest(community.host(*id)) == before[d] {
+                if knowhow_digest(community.core(*id)) == before[d] {
                     restart_matches += 1;
                 }
                 let faults = community.net_mut().faults_mut();
@@ -618,7 +618,7 @@ pub fn run_soak_observed(config: &SoakConfig, obs: &Obs) -> SoakOutcome {
     }
     let horizon = SimTime::ZERO + WAVE_GAP.times(config.waves as u64 - 1) + SOAK_TAIL;
     community.net_mut().advance_to(horizon);
-    community.run_to_quiescence();
+    community.run_until_quiescent();
 
     // ---- judge the invariants ----------------------------------------------
     let mut completed = 0usize;
@@ -643,7 +643,7 @@ pub fn run_soak_observed(config: &SoakConfig, obs: &Obs) -> SoakOutcome {
                     late_completed += 1;
                 }
                 let ws = community
-                    .host(s.handle.id.initiator)
+                    .core(s.handle.id.initiator)
                     .latest_attempt(s.handle.id)
                     .expect("completed problem retains its workspace");
                 if ws
@@ -679,11 +679,11 @@ pub fn run_soak_observed(config: &SoakConfig, obs: &Obs) -> SoakOutcome {
     let mut decode_cache_hits = 0u64;
     let mut decode_cache_misses = 0u64;
     for h in community.hosts() {
-        let (hits, misses) = community.host(h).core().decode_cache_stats();
+        let (hits, misses) = community.core(h).decode_cache_stats();
         decode_cache_hits += hits;
         decode_cache_misses += misses;
         if obs.metrics.is_enabled() {
-            community.host_mut(h).core_mut().publish_metrics();
+            community.core_mut(h).publish_metrics();
         }
     }
 

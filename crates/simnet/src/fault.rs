@@ -1,12 +1,16 @@
-//! Fault injection: message loss, duplication, reordering and host crashes.
+//! Fault injection: message loss, byte damage, duplication, reordering
+//! and host crashes.
 //!
 //! Used by the robustness tests, the workflow-repair experiment (E6 in
 //! DESIGN.md) and the chaos soak harness: a crashed host silently stops
 //! receiving and sending, as a powered-off device would; lossy links drop
 //! messages with a configured probability (globally or per directed link,
-//! so asymmetric paths are expressible); duplication re-delivers a copy of
-//! a message with its own independent latency; reordering adds random
-//! extra jitter so later sends can overtake earlier ones.
+//! so asymmetric paths are expressible); corruption flips a bit and
+//! truncation cuts a message short (only messages that are encoded bytes
+//! can be damaged, see [`crate::Message::damage`]); duplication
+//! re-delivers a copy of a message with its own independent latency;
+//! reordering adds random extra jitter so later sends can overtake
+//! earlier ones.
 //!
 //! All decisions draw from the kernel RNG **only when the corresponding
 //! probability is non-zero**, so configurations that leave a fault class
@@ -33,6 +37,8 @@ pub struct FaultInjector {
     /// otherwise clean mesh.
     link_drop: HashMap<(HostId, HostId), f64>,
     crashed: HashSet<HostId>,
+    corrupt_probability: f64,
+    truncate_probability: f64,
     duplicate_probability: f64,
     reorder_probability: f64,
     reorder_max_jitter: SimDuration,
@@ -92,6 +98,28 @@ impl FaultInjector {
             .get(&(from, to))
             .copied()
             .unwrap_or(self.drop_probability)
+    }
+
+    /// Sets the probability that one random bit of a routed message is
+    /// flipped.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `p` is outside `[0, 1]`.
+    pub fn set_corrupt_probability(&mut self, p: f64) {
+        assert_probability(p);
+        self.corrupt_probability = p;
+    }
+
+    /// Sets the probability that a routed message is cut short at a
+    /// random length.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `p` is outside `[0, 1]`.
+    pub fn set_truncate_probability(&mut self, p: f64) {
+        assert_probability(p);
+        self.truncate_probability = p;
     }
 
     /// Sets the probability that a routed message is delivered twice.
@@ -154,6 +182,16 @@ impl FaultInjector {
         p > 0.0 && rng.random_bool(p)
     }
 
+    /// Decides whether a routed message has a bit flipped.
+    pub fn should_corrupt(&self, rng: &mut dyn rand::Rng) -> bool {
+        self.corrupt_probability > 0.0 && rng.random_bool(self.corrupt_probability)
+    }
+
+    /// Decides whether a routed message is cut short.
+    pub fn should_truncate(&self, rng: &mut dyn rand::Rng) -> bool {
+        self.truncate_probability > 0.0 && rng.random_bool(self.truncate_probability)
+    }
+
     /// Decides whether a delivered message gets an extra copy.
     pub fn should_duplicate(&self, rng: &mut dyn rand::Rng) -> bool {
         self.duplicate_probability > 0.0 && rng.random_bool(self.duplicate_probability)
@@ -176,6 +214,8 @@ impl fmt::Debug for FaultInjector {
         f.debug_struct("FaultInjector")
             .field("drop_probability", &self.drop_probability)
             .field("link_drops", &self.link_drop.len())
+            .field("corrupt_probability", &self.corrupt_probability)
+            .field("truncate_probability", &self.truncate_probability)
             .field("duplicate_probability", &self.duplicate_probability)
             .field("reorder_probability", &self.reorder_probability)
             .field("crashed", &self.crashed_hosts())
@@ -195,9 +235,14 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         for _ in 0..100 {
             assert!(!f.should_drop(HostId(0), HostId(1), &mut rng));
+            assert!(!f.should_corrupt(&mut rng));
+            assert!(!f.should_truncate(&mut rng));
             assert!(!f.should_duplicate(&mut rng));
             assert!(f.reorder_jitter(&mut rng).is_none());
         }
+        // Zero probabilities draw nothing: the stream is untouched.
+        let mut fresh = StdRng::seed_from_u64(1);
+        assert_eq!(rng.random::<u64>(), fresh.random::<u64>());
     }
 
     #[test]
@@ -269,15 +314,23 @@ mod tests {
     fn duplication_and_reorder_respect_probabilities() {
         let mut f = FaultInjector::none();
         f.set_duplicate_probability(1.0);
+        f.set_corrupt_probability(1.0);
+        f.set_truncate_probability(1.0);
         f.set_reorder(1.0, SimDuration::from_millis(5));
         let mut rng = StdRng::seed_from_u64(11);
         assert!(f.should_duplicate(&mut rng));
+        assert!(f.should_corrupt(&mut rng));
+        assert!(f.should_truncate(&mut rng));
         let jitter = f.reorder_jitter(&mut rng).expect("storm always hits");
         assert!(jitter <= SimDuration::from_millis(5));
 
         f.set_duplicate_probability(0.0);
+        f.set_corrupt_probability(0.0);
+        f.set_truncate_probability(0.0);
         f.set_reorder(0.0, SimDuration::from_millis(5));
         assert!(!f.should_duplicate(&mut rng));
+        assert!(!f.should_corrupt(&mut rng));
+        assert!(!f.should_truncate(&mut rng));
         assert!(f.reorder_jitter(&mut rng).is_none());
     }
 

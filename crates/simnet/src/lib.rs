@@ -8,11 +8,13 @@
 //! **discrete-event simulation** kernel with a virtual clock. Hosts are
 //! [`Actor`] state machines; messages are delivered through a pluggable
 //! [`LatencyModel`] over a [`Topology`] with optional [`FaultInjector`]
-//! drops and crashes. All experiments in the paper's §5 run on this
-//! kernel (the paper ran its simulations "within a single JVM … through
-//! a simulated network"). Real threads and bytes are the job of the
-//! runtime's encoded-frame driver and `openwf-net`'s TCP driver, which
-//! run the same protocol core.
+//! drops, byte damage, duplication, reordering and crashes. All
+//! experiments in the paper's §5 run on this kernel (the paper ran its
+//! simulations "within a single JVM … through a simulated network").
+//! The kernel is generic over the [`Message`] it moves: the runtime runs
+//! it with typed protocol messages or with encoded wire frames, and
+//! real sockets are the job of `openwf-net`'s TCP driver, which runs
+//! the same protocol core.
 //!
 //! Determinism: with the same seed and the same actor behavior, a
 //! [`SimNetwork`] run produces the identical event sequence — a property
@@ -58,16 +60,14 @@ pub mod sim;
 pub mod stats;
 pub mod time;
 pub mod topology;
-pub mod trace;
 
 pub use actor::{Actor, Context, TimerToken};
 pub use chaos::{ChaosAction, ChaosEvent, ChaosSchedule};
 pub use event::{Event, EventKind};
 pub use fault::FaultInjector;
 pub use latency::{ConstantLatency, LatencyModel, UniformLatency, Wireless80211g};
-pub use message::{HostId, Message};
+pub use message::{Damage, HostId, Message};
 pub use sim::SimNetwork;
 pub use stats::NetStats;
 pub use time::{SimDuration, SimTime};
 pub use topology::Topology;
-pub use trace::{MsgKind, TraceRecord, TraceRecorder};

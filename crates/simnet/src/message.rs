@@ -1,4 +1,5 @@
-//! Host identity and the message trait.
+//! Host identity, the message trait, and the byte damage a message can
+//! take in flight.
 
 use std::fmt;
 
@@ -30,6 +31,17 @@ impl fmt::Display for HostId {
     }
 }
 
+/// Byte-level damage a lossy link can do to a message in flight (see
+/// [`crate::FaultInjector::set_corrupt_probability`] and
+/// [`crate::FaultInjector::set_truncate_probability`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Damage {
+    /// One random bit is flipped.
+    Corrupt,
+    /// The message is cut short at a random length.
+    Truncate,
+}
+
 /// A message that can travel through the communications layer.
 ///
 /// `wire_size` is the estimated serialized size in bytes; latency models
@@ -42,10 +54,14 @@ pub trait Message: Clone + Send + fmt::Debug + 'static {
         128
     }
 
-    /// Static variant tag for tracing (see
-    /// [`MsgKind`](crate::trace::MsgKind)); must not allocate or format.
-    fn kind(&self) -> crate::trace::MsgKind {
-        crate::trace::MsgKind::OTHER
+    /// Applies `damage` to the message's bytes, drawing the position
+    /// from `rng`, and returns whether the message changed. Typed
+    /// messages have no bytes to damage, so the default changes nothing
+    /// and draws nothing; a message that *is* encoded bytes overrides
+    /// it.
+    fn damage(&mut self, damage: Damage, rng: &mut dyn rand::Rng) -> bool {
+        let _ = (damage, rng);
+        false
     }
 }
 

@@ -17,11 +17,10 @@ use crate::chaos::ChaosSchedule;
 use crate::event::{EventKind, EventQueue};
 use crate::fault::FaultInjector;
 use crate::latency::{ConstantLatency, LatencyModel};
-use crate::message::{HostId, Message};
+use crate::message::{Damage, HostId, Message};
 use crate::stats::NetStats;
 use crate::time::{SimDuration, SimTime};
 use crate::topology::Topology;
-use crate::trace::{TraceRecord, TraceRecorder};
 
 use openwf_obs::{Counter, MetricsRegistry};
 
@@ -34,6 +33,8 @@ struct NetMetrics {
     delivered: Counter,
     dropped: Counter,
     duplicated: Counter,
+    corrupted: Counter,
+    truncated: Counter,
     bytes_delivered: Counter,
     timers_fired: Counter,
 }
@@ -45,6 +46,8 @@ impl NetMetrics {
             delivered: registry.counter("net.delivered"),
             dropped: registry.counter("net.dropped"),
             duplicated: registry.counter("net.duplicated"),
+            corrupted: registry.counter("net.corrupted"),
+            truncated: registry.counter("net.truncated"),
             bytes_delivered: registry.counter("net.bytes_delivered"),
             timers_fired: registry.counter("net.timers_fired"),
         }
@@ -71,7 +74,6 @@ pub struct SimNetwork<M: Message, A: Actor<M>> {
     rng: StdRng,
     started: bool,
     busy_until: Vec<SimTime>,
-    tracer: Option<TraceRecorder>,
     metrics: NetMetrics,
 }
 
@@ -91,14 +93,8 @@ impl<M: Message, A: Actor<M>> SimNetwork<M, A> {
             rng: StdRng::seed_from_u64(seed),
             started: false,
             busy_until: Vec::new(),
-            tracer: None,
             metrics: NetMetrics::default(),
         }
-    }
-
-    /// Installs a message tracer; keep a clone to read the recording.
-    pub fn set_tracer(&mut self, tracer: TraceRecorder) {
-        self.tracer = Some(tracer);
     }
 
     /// Mirrors [`NetStats`] into `registry` as `net.*` counters,
@@ -239,15 +235,6 @@ impl<M: Message, A: Actor<M>> SimNetwork<M, A> {
                 self.stats.bytes_delivered += msg.wire_size() as u64;
                 self.metrics.delivered.inc();
                 self.metrics.bytes_delivered.add(msg.wire_size() as u64);
-                if let Some(tracer) = &self.tracer {
-                    tracer.record(TraceRecord {
-                        at: self.now,
-                        from,
-                        to,
-                        bytes: msg.wire_size(),
-                        kind: msg.kind(),
-                    });
-                }
                 self.dispatch(to, |actor, ctx| actor.on_message(from, msg, ctx));
             }
             EventKind::Timer { host, token } => {
@@ -347,7 +334,7 @@ impl<M: Message, A: Actor<M>> SimNetwork<M, A> {
         }
     }
 
-    fn route(&mut self, from: HostId, to: HostId, msg: M, at: SimTime) {
+    fn route(&mut self, from: HostId, to: HostId, mut msg: M, at: SimTime) {
         // Compute charges can push a send past pending chaos points;
         // route under the fault state as of the send time.
         self.apply_chaos_due(at);
@@ -363,6 +350,15 @@ impl<M: Message, A: Actor<M>> SimNetwork<M, A> {
             self.stats.dropped += 1;
             self.metrics.dropped.inc();
             return;
+        }
+        if self.faults.should_corrupt(&mut self.rng) && msg.damage(Damage::Corrupt, &mut self.rng) {
+            self.stats.corrupted += 1;
+            self.metrics.corrupted.inc();
+        }
+        if self.faults.should_truncate(&mut self.rng) && msg.damage(Damage::Truncate, &mut self.rng)
+        {
+            self.stats.truncated += 1;
+            self.metrics.truncated.inc();
         }
         let mut delay = self
             .latency
@@ -421,13 +417,6 @@ mod tests {
     impl Message for Msg {
         fn wire_size(&self) -> usize {
             64
-        }
-
-        fn kind(&self) -> crate::trace::MsgKind {
-            match self {
-                Msg::Ping(_) => crate::trace::MsgKind("Ping"),
-                Msg::Gossip(_) => crate::trace::MsgKind("Gossip"),
-            }
         }
     }
 
@@ -630,21 +619,6 @@ mod tests {
     }
 
     #[test]
-    fn tracer_records_deliveries() {
-        let (mut net, a, b) = two_pingers(2, 1);
-        let tracer = crate::trace::TraceRecorder::new();
-        net.set_tracer(tracer.clone());
-        net.send_external(a, b, Msg::Ping(0));
-        net.run_until_quiescent();
-        assert_eq!(tracer.len() as u64, net.stats().delivered);
-        let first = &tracer.snapshot()[0];
-        assert_eq!(first.from, a);
-        assert_eq!(first.to, b);
-        assert_eq!(first.kind.as_str(), "Ping");
-        assert_eq!(tracer.bytes_to(b), 2 * 64, "b received Ping(0) and Ping(2)");
-    }
-
-    #[test]
     fn metrics_registry_mirrors_net_stats() {
         let registry = openwf_obs::MetricsRegistry::new();
         let (mut net, a, b) = two_pingers(2, 1);
@@ -664,6 +638,59 @@ mod tests {
             registry.counter("net.timers_fired").get(),
             net.stats().timers_fired
         );
+    }
+
+    /// A message that is its own bytes, so faults can damage it.
+    #[derive(Clone, Debug)]
+    struct Blob(Vec<u8>);
+    impl Message for Blob {
+        fn wire_size(&self) -> usize {
+            self.0.len()
+        }
+
+        fn damage(&mut self, damage: Damage, _rng: &mut dyn rand::Rng) -> bool {
+            match damage {
+                Damage::Corrupt => self.0[0] ^= 1,
+                Damage::Truncate => self.0.truncate(1),
+            }
+            true
+        }
+    }
+
+    #[derive(Default)]
+    struct Sink(Vec<Vec<u8>>);
+    impl Actor<Blob> for Sink {
+        fn on_message(&mut self, _from: HostId, msg: Blob, _ctx: &mut Context<'_, Blob>) {
+            self.0.push(msg.0);
+        }
+    }
+
+    #[test]
+    fn byte_damage_reaches_only_messages_that_are_bytes() {
+        let registry = openwf_obs::MetricsRegistry::new();
+        let mut net: SimNetwork<Blob, Sink> = SimNetwork::new(3);
+        net.set_metrics(&registry);
+        let (a, b) = (net.add_host(Sink::default()), net.add_host(Sink::default()));
+        net.faults_mut().set_corrupt_probability(1.0);
+        net.faults_mut().set_truncate_probability(1.0);
+        net.send_external(a, b, Blob(vec![0; 8]));
+        net.send_external(a, a, Blob(vec![0; 8]));
+        net.run_until_quiescent();
+        assert_eq!(net.host(b).0.len(), 1);
+        assert_eq!(net.host(b).0[0].len(), 1, "truncated in flight");
+        assert_eq!(net.host(a).0[0], vec![0; 8], "self-sends skip the wire");
+        assert_eq!((net.stats().corrupted, net.stats().truncated), (1, 1));
+        assert_eq!(registry.counter("net.corrupted").get(), 1);
+        assert_eq!(registry.counter("net.truncated").get(), 1);
+
+        // Typed messages have no bytes: the faults draw but change nothing.
+        let (mut typed, a, b) = two_pingers(0, 3);
+        typed.faults_mut().set_corrupt_probability(1.0);
+        typed.faults_mut().set_truncate_probability(1.0);
+        typed.send_external(a, b, Msg::Ping(0));
+        typed.run_until_quiescent();
+        assert_eq!(typed.stats().delivered, 1);
+        assert_eq!((typed.stats().corrupted, typed.stats().truncated), (0, 0));
     }
 
     #[test]

@@ -23,6 +23,10 @@ pub struct NetStats {
     /// Extra message copies injected by duplication faults (each copy is
     /// also counted in `sent` so `in_flight` stays balanced).
     pub duplicated: u64,
+    /// Messages with a bit flipped by corruption faults.
+    pub corrupted: u64,
+    /// Messages cut short by truncation faults.
+    pub truncated: u64,
 }
 
 impl NetStats {

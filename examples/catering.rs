@@ -27,7 +27,7 @@ fn run(label: &str, scenario: CateringScenario, spec: Spec) {
     for (i, h) in community.hosts().into_iter().enumerate() {
         let name = names[i].to_string();
         community
-            .host_mut(h)
+            .core_mut(h)
             .service_mgr_mut()
             .set_hook(Box::new(move |call| {
                 println!("  {name}: {}", call.task);

@@ -27,7 +27,7 @@ fn main() {
     for (i, h) in community.hosts().into_iter().enumerate() {
         let name = names[i];
         community
-            .host_mut(h)
+            .core_mut(h)
             .service_mgr_mut()
             .set_hook(Box::new(move |call| {
                 println!("  {name}: {}", call.task);

@@ -24,7 +24,7 @@ fn run(label: &str, scenario: FieldHospitalScenario) {
     for (i, h) in community.hosts().into_iter().enumerate() {
         let who = names[i].to_string();
         community
-            .host_mut(h)
+            .core_mut(h)
             .service_mgr_mut()
             .set_hook(Box::new(move |call| {
                 println!("  {who}: {}", call.task);

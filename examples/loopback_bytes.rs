@@ -1,24 +1,23 @@
 //! Loopback bytes: a whole community coordinating over the real wire
 //! format.
 //!
-//! The same scenario usually driven on the virtual-time simulator runs
-//! here through [`LoopbackBytesDriver`]: every protocol message — the
-//! fragment and capability queries, the auction traffic, the execution
-//! plans and input deliveries — is **encoded to `openwf-wire` frames on
-//! send and decoded through the receiver's vocabulary budget on
-//! delivery**. Nothing is shared in memory across host boundaries; the
-//! run is an end-to-end proof that the binary codec carries the complete
-//! protocol.
+//! The same scenario usually run with typed messages runs here on the
+//! simulator's frame carrier (`CommunityBuilder::build_bytes`): every
+//! protocol message — the fragment and capability queries, the auction
+//! traffic, the execution plans and input deliveries — is **encoded to
+//! `openwf-wire` frames on send and decoded through the receiver's
+//! vocabulary budget on delivery**. Nothing is shared in memory across
+//! host boundaries; the run is an end-to-end proof that the binary
+//! codec carries the complete protocol.
 //!
-//! The example then replays the identical scenario on the simulator and
-//! checks the two transports agree — the sans-io core cannot tell which
-//! one is driving it.
+//! The example then replays the identical scenario with typed messages
+//! and checks the two carriers agree — the sans-io core cannot tell
+//! which one moves its messages.
 //!
 //! Run with: `cargo run --example loopback_bytes`
 //! Fast mode (CI smoke): `OPENWF_LOOPBACK_FAST=1 cargo run --example loopback_bytes`
 
 use openworkflow::prelude::*;
-use openworkflow::runtime::driver::LoopbackStats;
 
 fn configs(chain: usize, hosts: usize) -> Vec<HostConfig> {
     let mut cfgs: Vec<HostConfig> = (0..hosts).map(|_| HostConfig::new()).collect();
@@ -51,16 +50,14 @@ fn main() {
     let spec = Spec::new(["stage-0".to_string()], [format!("stage-{chain}")]);
 
     println!("== community of {hosts} hosts, {chain}-step pipeline, all traffic as wire bytes ==");
-    let mut driver = LoopbackBytesDriver::build(RuntimeParams::default(), configs(chain, hosts));
+    let mut driver = CommunityBuilder::new(0)
+        .hosts(configs(chain, hosts))
+        .build_bytes();
     let initiator = driver.hosts()[0];
     let handle = driver.submit(initiator, spec.clone());
     let report = driver.run_until_complete(handle);
-    let LoopbackStats {
-        frames_delivered,
-        bytes_delivered,
-        timers_fired,
-        ..
-    } = driver.stats();
+    let stats = driver.stats();
+    let (frames_delivered, bytes_delivered) = (stats.delivered, stats.bytes_delivered);
 
     println!("status        : {:?}", report.status);
     println!("assignments   : {}", report.assignments.len());
@@ -71,9 +68,10 @@ fn main() {
         report.timings.allocated_at,
     );
     println!(
-        "wire traffic  : {frames_delivered} frames, {bytes_delivered} exact bytes, {timers_fired} timers"
+        "wire traffic  : {frames_delivered} frames, {bytes_delivered} exact bytes, {} timers",
+        stats.timers_fired
     );
-    for (host, event) in driver.events() {
+    for (host, event) in driver.all_events() {
         println!("event         : h{} {event:?}", host.0);
     }
     assert!(
@@ -82,7 +80,7 @@ fn main() {
     );
     assert!(frames_delivered > (chain as u64) * 2, "real traffic flowed");
 
-    // The same scenario on the typed simulator must agree on the outcome.
+    // The same scenario with typed messages must agree on the outcome.
     let mut sim = CommunityBuilder::new(0)
         .hosts(configs(chain, hosts))
         .build();
@@ -91,11 +89,11 @@ fn main() {
     assert_eq!(
         format!("{:?}", sim_report.assignments),
         format!("{:?}", report.assignments),
-        "transports must allocate identically"
+        "carriers must allocate identically"
     );
     assert_eq!(
         sim_report.timings.completed_at, report.timings.completed_at,
         "virtual clocks agree to the microsecond"
     );
-    println!("== simulator replay agrees: same assignments, same completion time ==");
+    println!("== typed replay agrees: same assignments, same completion time ==");
 }

@@ -81,9 +81,8 @@ pub mod prelude {
     pub use openwf_net::{NetServer, ServerConfig, TcpCommunityDriver};
     pub use openwf_obs::Obs;
     pub use openwf_runtime::{
-        Community, CommunityBuilder, Driver, HostConfig, HostCore, LoopbackBytesDriver,
-        Preferences, ProblemStatus, RuntimeParams, ServiceDescription, SimDriver, StorageConfig,
-        WorkflowEvent,
+        Community, CommunityBuilder, Driver, HostConfig, HostCore, Preferences, ProblemStatus,
+        RuntimeParams, ServiceDescription, StorageConfig, WireFrame, WorkflowEvent,
     };
     pub use openwf_simnet::{
         ConstantLatency, HostId, SimDuration, SimTime, UniformLatency, Wireless80211g,

@@ -1,9 +1,15 @@
-//! Observability integration: the network tracer sees the whole protocol
-//! conversation, and traffic accounting matches the paper's
+//! Observability integration: the core's trace instants see the whole
+//! protocol conversation on either carrier, metric names mean the same
+//! thing under every driver, and traffic accounting matches the paper's
 //! pairwise-communication story.
 
+use std::collections::BTreeSet;
+
+use openworkflow::obs::SpanPhase;
 use openworkflow::prelude::*;
-use openworkflow::simnet::TraceRecorder;
+use openworkflow::runtime::{Carrier, Community};
+use openworkflow::simnet::NetStats;
+use serde::Value;
 
 fn frag(id: &str, task: &str, input: &str, output: &str) -> Fragment {
     Fragment::single_task(id, task, Mode::Disjunctive, [input], [output]).unwrap()
@@ -13,56 +19,166 @@ fn service(task: &str) -> ServiceDescription {
     ServiceDescription::new(task, SimDuration::from_millis(5))
 }
 
+/// Two hosts that must cooperate: each holds half the knowhow and the
+/// other half's capability. Every config carries `obs`.
+fn two_host_configs(obs: &Obs) -> Vec<HostConfig> {
+    vec![
+        HostConfig::new()
+            .with_fragment(frag("f1", "t1", "a", "b"))
+            .with_service(service("t2"))
+            .with_observability(obs.clone()),
+        HostConfig::new()
+            .with_fragment(frag("f2", "t2", "b", "c"))
+            .with_service(service("t1"))
+            .with_observability(obs.clone()),
+    ]
+}
+
+/// Runs the two-host problem to completion on the simulator — over
+/// encoded frames when `bytes`, typed messages otherwise — with the
+/// kernel's `net.*` counters and every core's metrics in `obs`. Returns
+/// the kernel's counters.
+fn run_two_hosts(bytes: bool, obs: &Obs) -> NetStats {
+    fn drive<C: Carrier>(mut community: Community<C>, obs: &Obs) -> NetStats {
+        community.net_mut().set_metrics(&obs.metrics);
+        let hosts = community.hosts();
+        let handle = community.submit(hosts[0], Spec::new(["a"], ["c"]));
+        let report = community.run_until_complete(handle);
+        assert!(
+            matches!(report.status, ProblemStatus::Completed),
+            "{report}"
+        );
+        for h in hosts {
+            community.core_mut(h).publish_metrics();
+        }
+        community.stats()
+    }
+    let builder = CommunityBuilder::new(61).hosts(two_host_configs(obs));
+    if bytes {
+        drive(builder.build_bytes(), obs)
+    } else {
+        drive(builder.build(), obs)
+    }
+}
+
 #[test]
 fn tracer_captures_the_protocol_conversation() {
-    let mut community = CommunityBuilder::new(61)
-        .host(
-            HostConfig::new()
-                .with_fragment(frag("f1", "t1", "a", "b"))
-                .with_service(service("t2")),
-        )
-        .host(
-            HostConfig::new()
-                .with_fragment(frag("f2", "t2", "b", "c"))
-                .with_service(service("t1")),
-        )
-        .build();
-    let tracer = TraceRecorder::new();
-    community.net_mut().set_tracer(tracer.clone());
+    for (name, bytes) in [("typed", false), ("frames", true)] {
+        let obs = Obs::enabled();
+        let stats = run_two_hosts(bytes, &obs);
 
-    let hosts = community.hosts();
-    let handle = community.submit(hosts[0], Spec::new(["a"], ["c"]));
-    let report = community.run_until_complete(handle);
-    assert!(matches!(report.status, ProblemStatus::Completed));
+        // One instant per delivered message, named by its variant and
+        // stamped with the receiving host and the sender.
+        let messages: Vec<_> = obs
+            .trace
+            .snapshot()
+            .into_iter()
+            .filter(|e| e.phase == SpanPhase::Instant && e.detail.starts_with("from host"))
+            .collect();
+        assert_eq!(messages.len() as u64, stats.delivered, "{name}");
+        assert_eq!(
+            obs.metrics.counter("core.messages").get(),
+            stats.delivered,
+            "{name}"
+        );
 
-    let records = tracer.snapshot();
-    assert_eq!(records.len() as u64, community.stats().delivered);
+        // Every message family of Figure 3 must appear on the wire.
+        let kinds: Vec<&str> = messages.iter().map(|e| e.name).collect();
+        for family in [
+            "Initiate",
+            "FragmentQuery",
+            "FragmentReply",
+            "CapabilityQuery",
+            "CapabilityReply",
+            "CallForBids",
+            "Bid",
+            "Execute",
+            "InputDelivery",
+            "GoalDelivered",
+        ] {
+            assert!(kinds.contains(&family), "{name}: missing {family} in trace");
+        }
 
-    // Every message family of Figure 3 must appear on the wire.
-    let kinds: Vec<&str> = records.iter().map(|r| r.kind.as_str()).collect();
-    for family in [
-        "Initiate",
-        "FragmentQuery",
-        "FragmentReply",
-        "CapabilityQuery",
-        "CapabilityReply",
-        "CallForBids",
-        "Bid",
-        "Execute",
-        "InputDelivery",
-        "GoalDelivered",
-    ] {
-        assert!(kinds.contains(&family), "missing {family} in trace");
+        // Pairwise conversation: host0 (initiator) exchanged messages
+        // with host1 in both directions.
+        let flows = |from: u32, to: u32| {
+            messages
+                .iter()
+                .any(|e| e.host == to && e.detail == format!("from host{from}"))
+        };
+        assert!(flows(0, 1), "{name}: host0 -> host1");
+        assert!(flows(1, 0), "{name}: host1 -> host0");
+
+        // Delivery times never decrease.
+        assert!(
+            messages.windows(2).all(|w| w[0].at_us <= w[1].at_us),
+            "{name}"
+        );
+    }
+}
+
+/// Metric names mean the same thing under every driver: the same
+/// two-host problem on the typed carrier, the frame carrier and
+/// [`TcpCommunityDriver`], each with one enabled `Obs` in every config
+/// and every core publishing its metrics, registers the same `core.*`
+/// names, and the two simulated carriers register the same `net.*`
+/// kernel counters.
+///
+/// The TCP driver's `net.*` names describe sockets, not a kernel, and
+/// live in its own registry: connection lifecycle (`net.conn_accepted`,
+/// `net.conn_dialed`, `net.conn_closed`, `net.conn_denied`,
+/// `net.conn_slow_drops`, `net.conn_quarantine_drops`), receive side
+/// (`net.rx_frames`, `net.rx_bytes`, `net.rx_misrouted`,
+/// `net.rx_ingest_refused`, `net.decode_rejections`) and send side
+/// (`net.tx_frames`, `net.tx_bytes`, `net.tx_dropped`,
+/// `net.tx_queue_depth`).
+#[test]
+fn metric_names_agree_across_carriers_and_tcp() {
+    fn names(obs: &Obs, prefix: &str) -> BTreeSet<String> {
+        let Value::Map(kinds) = obs.metrics.snapshot() else {
+            panic!("a registry snapshot is a map");
+        };
+        kinds
+            .into_iter()
+            .flat_map(|(_, metrics)| match metrics {
+                Value::Map(entries) => entries,
+                _ => Vec::new(),
+            })
+            .filter_map(|(name, _)| match name {
+                Value::Str(name) if name.starts_with(prefix) => Some(name),
+                _ => None,
+            })
+            .collect()
     }
 
-    // Pairwise conversation: host0 (initiator) exchanged messages with
-    // host1 in both directions.
-    let pair = tracer.between(hosts[0], hosts[1]);
-    assert!(pair.iter().any(|r| r.from == hosts[0]));
-    assert!(pair.iter().any(|r| r.from == hosts[1]));
+    let typed = Obs::enabled();
+    run_two_hosts(false, &typed);
+    let frames = Obs::enabled();
+    run_two_hosts(true, &frames);
+    let tcp_obs = Obs::enabled();
+    let mut tcp = TcpCommunityDriver::build(RuntimeParams::default(), two_host_configs(&tcp_obs))
+        .expect("bind localhost listeners");
+    let hosts = tcp.hosts();
+    let handle = tcp.submit(hosts[0], Spec::new(["a"], ["c"]));
+    let report = tcp.run_until_complete(handle);
+    assert!(
+        matches!(report.status, ProblemStatus::Completed),
+        "{report}"
+    );
+    for h in hosts {
+        tcp.core_mut(h).publish_metrics();
+    }
+    let tcp_net = names(tcp.obs(), "net.");
+    tcp.shutdown();
 
-    // Delivery times are monotone within the recording.
-    assert!(records.windows(2).all(|w| w[0].at <= w[1].at));
+    let core = names(&typed, "core.");
+    assert!(core.contains("core.messages"), "{core:?}");
+    assert_eq!(core, names(&frames, "core."), "typed vs frame carrier");
+    assert_eq!(core, names(&tcp_obs, "core."), "typed carrier vs TCP");
+    let net = names(&typed, "net.");
+    assert!(net.contains("net.delivered"), "{net:?}");
+    assert_eq!(net, names(&frames, "net."), "typed vs frame carrier");
+    assert!(tcp_net.contains("net.rx_frames"), "{tcp_net:?}");
 }
 
 /// Bytes on the wire scale with community size at fixed work — the
@@ -146,7 +262,7 @@ fn assert_event_stream_well_formed(
 
 /// The two-honest-hosts-plus-flooder scenario used to provoke a full
 /// event alphabet (Constructed, Completed, PeerQuarantined) on both
-/// drivers: the flooder mints fresh symbols keyed to every label the
+/// carriers: the flooder mints fresh symbols keyed to every label the
 /// honest construction queries, so it offends in each wave.
 fn flooder_scenario_configs() -> Vec<HostConfig> {
     let mint = |prefix: &str, input: &str| -> Vec<Fragment> {
@@ -181,13 +297,8 @@ fn flooder_scenario_configs() -> Vec<HostConfig> {
     ]
 }
 
-#[test]
-fn workflow_event_stream_is_well_formed_on_the_sim_driver() {
-    let mut builder = CommunityBuilder::new(64);
-    for config in flooder_scenario_configs() {
-        builder = builder.host(config);
-    }
-    let mut community = builder.build();
+/// Runs the flooder scenario on one carrier and checks its event log.
+fn check_flooder_event_stream<C: Carrier>(mut community: Community<C>) {
     let hosts = community.hosts();
     let handle = community.submit(hosts[0], Spec::new(["obs-a"], ["obs-c"]));
     let report = community.run_until_complete(handle);
@@ -199,18 +310,21 @@ fn workflow_event_stream_is_well_formed_on_the_sim_driver() {
 }
 
 #[test]
-fn workflow_event_stream_is_well_formed_on_the_loopback_driver() {
-    let mut driver =
-        LoopbackBytesDriver::build(RuntimeParams::default(), flooder_scenario_configs());
-    let initiator = driver.hosts()[0];
-    let flooder = driver.hosts()[2];
-    let handle = driver.submit(initiator, Spec::new(["obs-a"], ["obs-c"]));
-    let report = driver.run_until_complete(handle);
-    assert!(
-        matches!(report.status, ProblemStatus::Completed),
-        "honest peers complete despite the flooder: {report}"
+fn workflow_event_stream_is_well_formed_on_the_sim_driver() {
+    check_flooder_event_stream(
+        CommunityBuilder::new(64)
+            .hosts(flooder_scenario_configs())
+            .build(),
     );
-    assert_event_stream_well_formed(driver.events(), flooder, 2);
+}
+
+#[test]
+fn workflow_event_stream_is_well_formed_on_the_loopback_driver() {
+    check_flooder_event_stream(
+        CommunityBuilder::new(64)
+            .hosts(flooder_scenario_configs())
+            .build_bytes(),
+    );
 }
 
 /// A task with several outputs routes each label to its own consumers
@@ -250,11 +364,11 @@ fn multi_output_tasks_route_each_label() {
     assert_eq!(report.goals_delivered.len(), 2);
     // The platers each executed exactly one service.
     assert_eq!(
-        community.host(hosts[1]).service_mgr().invocations().len(),
+        community.core(hosts[1]).service_mgr().invocations().len(),
         1
     );
     assert_eq!(
-        community.host(hosts[2]).service_mgr().invocations().len(),
+        community.core(hosts[2]).service_mgr().invocations().len(),
         1
     );
 }
